@@ -2,7 +2,7 @@
 
 Every row compares a literal evaluation of a printed formula (or a
 printed equality condition) with a value computed from the recurrence
-itself via the adjoint scan.  The audit reports; it never asserts.
+itself via the adjoint recurrence.  The audit reports; it never asserts.
 Disagreements are findings, not errors -- several of the printed forms
 do diverge from the recurrence, and mapping the divergence region is
 the purpose of this module.
@@ -29,6 +29,13 @@ from .graph import hypercube
 CLAIM_IDS = ("Eq1", "C6.1", "C6.2", "C6.3", "T6-equality", "T12-harper")
 
 OUT_OF_DOMAIN = "out of claimed domain (k=1)"
+
+# Largest accepted audit bounds, refused up front.  Together they keep a
+# run under about 50,000 findings and every value far below the
+# int -> str digit limit.
+AUDIT_K_MAX = 16
+AUDIT_R_MAX = 256
+AUDIT_N_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,11 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
     """
     if k_max < 1 or r_max < 1 or n_max < 1:
         raise DomainError("audit bounds must be >= 1")
+    if k_max > AUDIT_K_MAX or r_max > AUDIT_R_MAX or n_max > AUDIT_N_MAX:
+        raise SizeLimitExceeded(
+            f"audit bounds k_max={k_max}, r_max={r_max}, n_max={n_max} exceed the caps "
+            f"{AUDIT_K_MAX}, {AUDIT_R_MAX}, {AUDIT_N_MAX}"
+        )
     findings: list[AuditFinding] = []
 
     for k in range(1, k_max + 1):

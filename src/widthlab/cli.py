@@ -17,10 +17,19 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import audit as audit_mod
 from . import corpus as corpus_mod
-from .closed_forms import build_N_table, build_R_table
+from . import graph as graph_mod
+from .closed_forms import (
+    TABLE_ENTRIES_MAX,
+    TABLE_K_MAX,
+    TABLE_N_MAX,
+    TABLE_R_MAX,
+    build_N_table,
+    build_R_table,
+)
 from .errors import (
     DomainError,
     InvalidSeparator,
@@ -30,41 +39,15 @@ from .errors import (
     SizeLimitExceeded,
     WidthlabError,
 )
-from .graph import (
-    complete,
-    complete_binary_tree,
-    hypercube,
-    parse_edge_list,
-    path,
-    path_power,
-    random_chordal,
-    random_graph,
-    random_tree,
-    serialize_edge_list,
-    star,
-)
+from .graph import parse_edge_list, serialize_edge_list
 from .separators import (
     MIN_SEPARATOR_CAP,
-    SEPARATOR_NUMBER_CAP,
     check_separator,
     chordal_clique_separator,
     min_balanced_separator,
     separator_number,
-    separator_number_with_witness,
 )
-from .solvers import (
-    BW_CAP,
-    BW_CAP_DEEP,
-    RANK_CAP,
-    RANK_CAP_DEEP,
-    TW_CAP,
-    bandwidth,
-    cycle_rank,
-    pathwidth,
-    separator_ranking,
-    treewidth,
-    verify_chain,
-)
+from .solvers import PARAMS, separator_ranking, verify_chain
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -79,8 +62,21 @@ class UsageError(WidthlabError):
     pass
 
 
+class Output(NamedTuple):
+    """A command's result: each format is built only if it is the one rendered.
+
+    Without a JSON form a command renders as CSV, and without a text form
+    its text is CSV too; `gen` has lines only, printed in every format.
+    """
+
+    payload: Callable[[], dict] | None = None  # JSON object after "config"
+    rows: Callable[[], list[list]] | None = None  # CSV header and rows
+    lines: Callable[[], list[str]] | None = None
+    code: int = EXIT_OK
+
+
 # ---------------------------------------------------------------------------
-# Small helpers
+# Rendering and I/O
 
 
 def _fmt(value) -> str:
@@ -93,26 +89,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(rows: list[list]) -> str:
-    return "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
-
-
-def _config_dict(args, keys: list[str]) -> dict:
-    cfg = {"subcommand": args.subcommand}
-    for key in keys:
-        cfg[key] = getattr(args, key.replace("-", "_"), None)
-    return cfg
-
-
-def _config_comment(cfg: dict) -> str:
-    parts = " ".join(f"{k}={_fmt(v) if v is not None else '-'}" for k, v in cfg.items())
-    return f"# config: {parts}\n"
+def render(fmt: str, config: dict, out: Output) -> str:
+    """The one place output text is made: JSON, '#'-config CSV, or text lines."""
+    if fmt == "json" and out.payload is not None:
+        return json.dumps({"config": config, **out.payload()}, indent=2) + "\n"
+    if out.rows is not None and (fmt != "text" or out.lines is None):
+        parts = " ".join(f"{k}={_fmt(v) if v is not None else '-'}" for k, v in config.items())
+        return f"# config: {parts}\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in out.rows())
+    return "\n".join(out.lines()) + "\n"
 
 
 def _emit(args, text: str) -> None:
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -120,31 +113,30 @@ def _emit(args, text: str) -> None:
 def _read_graph(args):
     if not args.input:
         raise UsageError("--input is required (use '-' for stdin)")
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.input) as fh:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.input}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"input is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.input}: {exc}") from exc
     return parse_edge_list(text)
 
 
 def _effective_cap(args, default: int, deep_default: int | None = None) -> int:
+    env = os.environ.get(ENV_CAP)
     if args.cap_n is not None:
         cap = args.cap_n
+    elif env is not None:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise UsageError(f"{ENV_CAP} must be an integer, got {env!r}")
     else:
-        env = os.environ.get(ENV_CAP)
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise UsageError(f"{ENV_CAP} must be an integer, got {env!r}")
-        elif deep_default is not None and args.deep:
-            cap = deep_default
-        else:
-            cap = default
+        cap = deep_default if args.deep and deep_default is not None else default
     if cap > default:
         print(
             f"warning: cap raised {default} -> {cap}; expect on the order of "
@@ -152,6 +144,13 @@ def _effective_cap(args, default: int, deep_default: int | None = None) -> int:
             file=sys.stderr,
         )
     return cap
+
+
+def _param_caps(args, names) -> dict[str, int]:
+    """Cap per parameter; each distinct (cap, deep cap) pair is resolved and warned once."""
+    pairs = {name: (PARAMS[name].cap, PARAMS[name].deep_cap) for name in names}
+    resolved = {pair: _effective_cap(args, *pair) for pair in dict.fromkeys(pairs.values())}
+    return {name: resolved[pair] for name, pair in pairs.items()}
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -174,7 +173,8 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # gen
 
-
+# Family -> generator arguments, in call order.  The generator is the
+# graph-module function of the family's name ("random" -> random_graph).
 _FAMILY_PARAMS = {
     "path": ("n",),
     "path_power": ("n", "k"),
@@ -186,43 +186,25 @@ _FAMILY_PARAMS = {
     "random_tree": ("n", "seed"),
     "random_chordal": ("n", "width", "seed"),
 }
+_GENERATOR_NAMES = {"random": "random_graph"}
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> Output:
     family = args.family
     needed = _FAMILY_PARAMS[family]
     for name in needed:
         if getattr(args, name) is None:
             raise UsageError(f"family {family!r} requires --{name}")
-    if family == "path":
-        g = path(args.n)
-    elif family == "path_power":
-        g = path_power(args.n, args.k)
-    elif family == "hypercube":
-        g = hypercube(args.d)
-    elif family == "star":
-        g = star(args.n)
-    elif family == "complete":
-        g = complete(args.n)
-    elif family == "complete_binary_tree":
-        g = complete_binary_tree(args.d)
-    elif family == "random":
-        g = random_graph(args.n, args.p, args.seed)
-    elif family == "random_tree":
-        g = random_tree(args.n, args.seed)
-    else:
-        g = random_chordal(args.n, args.width, args.seed)
+    generate = getattr(graph_mod, _GENERATOR_NAMES.get(family, family))
+    g = generate(*(getattr(args, name) for name in needed))
     header = "# widthlab gen " + " ".join(
         f"{name}={getattr(args, name)}" for name in ("family",) + needed
     )
-    _emit(args, header + "\n" + serialize_edge_list(g))
-    return EXIT_OK
+    return Output(lines=lambda: [header] + serialize_edge_list(g).splitlines())
 
 
 # ---------------------------------------------------------------------------
-# compute
-
-_PARAM_NAMES = ("s", "s_strict", "tw", "pw", "bw", "r")
+# compute / verify-chain
 
 
 def _witness_compact(wit: dict) -> str:
@@ -237,318 +219,236 @@ def _witness_compact(wit: dict) -> str:
     return "|".join(parts)
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> Output:
     g = _read_graph(args)
     wanted = [p.strip() for p in args.params.split(",") if p.strip()]
     for p in wanted:
-        if p not in _PARAM_NAMES:
-            raise UsageError(f"unknown parameter {p!r}; choose from {','.join(_PARAM_NAMES)}")
+        if p not in PARAMS:
+            raise UsageError(f"unknown parameter {p!r}; choose from {','.join(PARAMS)}")
+    caps = _param_caps(args, wanted)
     values: dict = {}
     witnesses: dict = {}
     for p in wanted:
-        if p == "s":
-            values[p], witnesses[p] = separator_number_with_witness(
-                g, strict=False, cap=_effective_cap(args, SEPARATOR_NUMBER_CAP)
-            )
-        elif p == "s_strict":
-            values[p], witnesses[p] = separator_number_with_witness(
-                g, strict=True, cap=_effective_cap(args, SEPARATOR_NUMBER_CAP)
-            )
-        elif p == "tw":
-            values[p], order = treewidth(g, cap=_effective_cap(args, TW_CAP))
-            witnesses[p] = {"elimination_order": list(order)}
-        elif p == "pw":
-            values[p], order = pathwidth(g, cap=_effective_cap(args, TW_CAP))
-            witnesses[p] = {"layout": list(order)}
-        elif p == "bw":
-            values[p], layout = bandwidth(g, cap=_effective_cap(args, BW_CAP, BW_CAP_DEEP))
-            witnesses[p] = {"layout": list(layout)}
-        else:
-            values[p], ranking = cycle_rank(g, cap=_effective_cap(args, RANK_CAP, RANK_CAP_DEEP))
-            witnesses[p] = ranking.to_json_dict()
-    cfg = _config_dict(args, ["input", "format", "params", "seed", "cap_n", "deep"])
-    if args.format == "json":
-        _emit(args, json.dumps({"config": cfg, "n": g.n, "values": values, "witnesses": witnesses}, indent=2) + "\n")
-    elif args.format == "csv":
-        header = ["n"] + wanted + [f"witness_{p}" for p in wanted]
-        row = [g.n] + [values[p] for p in wanted]
-        row += [_witness_compact(witnesses[p]) for p in wanted]
-        _emit(args, _config_comment(cfg) + _csv([header, row]))
-    else:
-        lines = [f"n = {g.n}"] + [f"{p} = {values[p]}" for p in wanted]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# verify-chain
-
-
-def cmd_verify_chain(args) -> int:
-    g = _read_graph(args)
-    report = verify_chain(
-        g,
-        sep_cap=_effective_cap(args, SEPARATOR_NUMBER_CAP),
-        tw_cap=_effective_cap(args, TW_CAP),
-        bw_cap=_effective_cap(args, BW_CAP, BW_CAP_DEEP),
-        rank_cap=_effective_cap(args, RANK_CAP, RANK_CAP_DEEP),
+        values[p], witnesses[p] = PARAMS[p].run(g, caps[p])
+    return Output(
+        payload=lambda: {"n": g.n, "values": values, "witnesses": witnesses},
+        rows=lambda: [
+            ["n"] + wanted + [f"witness_{p}" for p in wanted],
+            [g.n] + [values[p] for p in wanted] + [_witness_compact(witnesses[p]) for p in wanted],
+        ],
+        lines=lambda: [f"n = {g.n}"] + [f"{p} = {values[p]}" for p in wanted],
     )
-    cfg = _config_dict(args, ["input", "format", "seed", "cap_n", "deep"])
-    payload = report.to_json_dict()
-    if args.format == "json":
-        _emit(args, json.dumps({"config": cfg, **payload}, indent=2) + "\n")
-    elif args.format == "csv":
-        cols = ["n", "s", "s_strict", "tw", "pw", "bw", "r", "thm9_ok", "thm2_ok",
-                "thm9_bound", "thm2_bound"]
-        row = [report.n, report.s, report.s_strict, report.tw, report.pw, report.bw,
-               report.r, report.thm9_ok, report.thm2_ok,
-               report.thm9_bound_display, report.thm2_bound_display]
-        _emit(args, _config_comment(cfg) + _csv([cols, row]))
-    else:
-        lines = [
-            f"n        = {report.n}",
-            f"s        = {report.s}",
-            f"s~       = {report.s_strict}",
-            f"tw       = {report.tw}",
-            f"pw       = {report.pw}",
-            f"bw       = {report.bw}",
-            f"r        = {report.r}",
-            f"chain    s <= tw <= pw <= r : {_fmt(report.s <= report.tw <= report.pw <= report.r)}",
-            f"r <= s(1+log(n/s))          : {_fmt(report.thm9_bound_holds)} (bound {report.thm9_bound_display:.4f})",
-            f"r <= 1 + s~ log n           : {_fmt(report.thm2_bound_holds)} (bound {report.thm2_bound_display:.4f})",
-            f"thm9_ok  = {_fmt(report.thm9_ok)}",
-            f"thm2_ok  = {_fmt(report.thm2_ok)}",
-        ]
-        if report.flags:
-            lines.append("flags    = " + ", ".join(report.flags))
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if report.thm9_ok and report.thm2_ok else EXIT_FAILED
+
+
+def _chain_lines(report) -> list[str]:
+    lines = [f"n        = {report.n}"]
+    lines += [f"{'s~' if p == 's_strict' else p:<8} = {getattr(report, p)}" for p in PARAMS]
+    lines += [
+        f"chain    s <= tw <= pw <= r : {_fmt(report.s <= report.tw <= report.pw <= report.r)}",
+        f"r <= s(1+log(n/s))          : {_fmt(report.thm9_bound_holds)} (bound {report.thm9_bound_display:.4f})",
+        f"r <= 1 + s~ log n           : {_fmt(report.thm2_bound_holds)} (bound {report.thm2_bound_display:.4f})",
+        f"thm9_ok  = {_fmt(report.thm9_ok)}",
+        f"thm2_ok  = {_fmt(report.thm2_ok)}",
+    ]
+    if report.flags:
+        lines.append("flags    = " + ", ".join(report.flags))
+    return lines
+
+
+def cmd_verify_chain(args) -> Output:
+    report = verify_chain(_read_graph(args), _param_caps(args, PARAMS))
+    cols = ["n", *PARAMS, "thm9_ok", "thm2_ok"]
+    return Output(
+        payload=report.to_json_dict,
+        rows=lambda: [
+            cols + ["thm9_bound", "thm2_bound"],
+            [getattr(report, c) for c in cols]
+            + [report.thm9_bound_display, report.thm2_bound_display],
+        ],
+        lines=lambda: _chain_lines(report),
+        code=EXIT_OK if report.thm9_ok and report.thm2_ok else EXIT_FAILED,
+    )
 
 
 # ---------------------------------------------------------------------------
-# table
+# table / audit
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> Output:
+    x_name, x_max, build = {
+        "R": ("n", TABLE_N_MAX, build_R_table), "N": ("r", TABLE_R_MAX, build_N_table)
+    }[args.what]
+    if getattr(args, x_name) is None:
+        raise UsageError(f"table {args.what} requires --{x_name}")
     k_lo, k_hi = _parse_range(args.k, "k")
-    if args.what == "R":
-        if args.n is None:
-            raise UsageError("table R requires --n")
-        lo, hi = _parse_range(args.n, "n")
-        entries = []
-        for k in range(k_lo, k_hi + 1):
-            table = build_R_table(k, hi)
-            entries.extend((k, n, table.entries[n]) for n in range(lo, hi + 1))
-        header = ["k", "n", "R"]
-    else:
-        if args.r is None:
-            raise UsageError("table N requires --r")
-        lo, hi = _parse_range(args.r, "r")
-        entries = []
-        for k in range(k_lo, k_hi + 1):
-            table = build_N_table(k, hi)
-            entries.extend((k, r, table.entries[r]) for r in range(lo, hi + 1))
-        header = ["k", "r", "N"]
-    cfg = _config_dict(args, ["what", "k", "n", "r", "format"])
-    if args.format == "json":
-        payload = [{header[0]: a, header[1]: b, "value": v} for a, b, v in entries]
-        _emit(args, json.dumps({"config": cfg, "entries": payload}, indent=2) + "\n")
-    else:
-        _emit(args, _config_comment(cfg) + _csv([header] + [list(e) for e in entries]))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# audit
+    lo, hi = _parse_range(getattr(args, x_name), x_name)
+    if k_lo < 1 or lo < 0:
+        raise DomainError(f"table needs k >= 1 and {x_name} >= 0")
+    size = (k_hi - k_lo + 1) * (hi + 1)
+    if k_hi > TABLE_K_MAX or hi > x_max or size > TABLE_ENTRIES_MAX:
+        raise SizeLimitExceeded(
+            f"table {args.what} with k <= {k_hi}, {x_name} <= {hi} ({size} entries) exceeds "
+            f"the caps k <= {TABLE_K_MAX}, {x_name} <= {x_max}, {TABLE_ENTRIES_MAX} entries"
+        )
+    entries = []
+    for k in range(k_lo, k_hi + 1):
+        table = build(k, hi)
+        entries.extend((k, x, table[x]) for x in range(lo, hi + 1))
+    return Output(
+        payload=lambda: {"entries": [{"k": k, x_name: x, "value": v} for k, x, v in entries]},
+        rows=lambda: [["k", x_name, args.what]] + [list(e) for e in entries],
+    )
 
 
 def _inputs_compact(inputs: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in inputs.items())
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> Output:
     findings = audit_mod.audit_claims(args.k_max, args.r_max, args.n_max)
     summary = audit_mod.audit_summary(findings)
     internal_ok = audit_mod.audit_internal_ok(findings)
-    cfg = _config_dict(args, ["k_max", "r_max", "n_max", "format"])
-    if args.format == "json":
-        payload = {
-            "config": cfg,
+    counts = [
+        f"{claim}: agree={c['agree']} disagree={c['disagree']} out_of_domain={c['out_of_domain']}"
+        for claim, c in summary.items()
+    ]
+    for line in counts:
+        print("audit summary " + line, file=sys.stderr)
+    return Output(
+        payload=lambda: {
             "findings": [f.to_json_dict() for f in findings],
             "summary": summary,
             "internal_ok": internal_ok,
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        rows = [["claim", "inputs", "printed", "oracle", "agree", "note"]]
-        rows.extend(
+        },
+        rows=lambda: [["claim", "inputs", "printed", "oracle", "agree", "note"]] + [
             [f.claim, _inputs_compact(f.inputs), f.printed, f.oracle, f.agree, f.note]
             for f in findings
-        )
-        _emit(args, _config_comment(cfg) + _csv(rows))
-    else:
-        lines = []
-        for f in findings:
-            if f.agree is False:
-                lines.append(
-                    f"DISAGREE {f.claim} ({_inputs_compact(f.inputs)}): "
-                    f"printed {f.printed} vs oracle {f.oracle}"
-                )
-        lines.append("")
-        for claim, counts in summary.items():
-            lines.append(
-                f"{claim}: agree={counts['agree']} disagree={counts['disagree']} "
-                f"out_of_domain={counts['out_of_domain']}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    for claim, counts in summary.items():
-        print(
-            f"audit summary {claim}: agree={counts['agree']} "
-            f"disagree={counts['disagree']} out_of_domain={counts['out_of_domain']}",
-            file=sys.stderr,
-        )
-    return EXIT_OK if internal_ok else EXIT_FAILED
+        ],
+        lines=lambda: [
+            f"DISAGREE {f.claim} ({_inputs_compact(f.inputs)}): "
+            f"printed {f.printed} vs oracle {f.oracle}"
+            for f in findings
+            if f.agree is False
+        ] + [""] + counts,
+        code=EXIT_OK if internal_ok else EXIT_FAILED,
+    )
 
 
 # ---------------------------------------------------------------------------
-# corpus
+# corpus / hypercube-report
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> Output:
     def progress(done, total):
         print(f"corpus: {done}/{total} graphs checked", file=sys.stderr)
 
     records = corpus_mod.run_corpus(args.count, args.n_max, args.seed, progress=progress)
     violations = sum(0 if rec.ok() else 1 for rec in records)
-    cfg = _config_dict(args, ["count", "n_max", "seed", "format"])
-    if args.format == "json":
-        payload = {
-            "config": cfg,
-            "graphs": [rec.to_json_dict() for rec in records],
-            "summary": {"graphs": len(records), "violations": violations},
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
+
+    def rows():
         rows = [["index", "family", "n", "check", "ok"]]
         for rec in records:
-            for check, ok in rec.checks.items():
-                rows.append([rec.index, rec.family, rec.n, check, ok])
+            rows.extend([rec.index, rec.family, rec.n, c, ok] for c, ok in rec.checks.items())
             if rec.error:
                 rows.append([rec.index, rec.family, rec.n, "error", rec.error])
-        _emit(args, _config_comment(cfg) + _csv(rows))
-    else:
-        lines = [f"graphs checked: {len(records)}", f"violations: {violations}"]
+        return rows
+
+    def lines():
+        out = [f"graphs checked: {len(records)}", f"violations: {violations}"]
         for rec in records:
             if not rec.ok():
                 bad = [c for c, ok in rec.checks.items() if not ok]
-                lines.append(f"  FAIL #{rec.index} {rec.family}: {bad or rec.error}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if violations == 0 else EXIT_FAILED
+                out.append(f"  FAIL #{rec.index} {rec.family}: {bad or rec.error}")
+        return out
+
+    return Output(
+        payload=lambda: {
+            "graphs": [rec.to_json_dict() for rec in records],
+            "summary": {"graphs": len(records), "violations": violations},
+        },
+        rows=rows,
+        lines=lines,
+        code=EXIT_OK if violations == 0 else EXIT_FAILED,
+    )
 
 
-# ---------------------------------------------------------------------------
-# hypercube-report
+def _flat_rows(obj: dict, prefix: str = "") -> list[list]:
+    rows = []
+    for key, val in obj.items():
+        name = f"{prefix}.{key}" if prefix else key
+        rows.extend(_flat_rows(val, name) if isinstance(val, dict) else [[name, val]])
+    return rows
 
 
-def cmd_hypercube_report(args) -> int:
+def cmd_hypercube_report(args) -> Output:
     report = audit_mod.hypercube_report(args.d, deep=args.deep)
-    cfg = _config_dict(args, ["d", "deep", "format"])
-    if args.format == "json":
-        _emit(args, json.dumps({"config": cfg, **report}, indent=2) + "\n")
-    elif args.format == "csv":
-        rows = [["field", "value"]]
-
-        def flat(prefix, obj):
-            for key, val in obj.items():
-                name = f"{prefix}.{key}" if prefix else key
-                if isinstance(val, dict):
-                    flat(name, val)
-                else:
-                    rows.append([name, val])
-
-        flat("", report)
-        _emit(args, _config_comment(cfg) + _csv(rows))
-    else:
-        bw = report["bw"]
-        lines = [
+    bw, bounds = report["bw"], report["bounds"]
+    return Output(
+        payload=lambda: report,
+        rows=lambda: [["field", "value"]] + _flat_rows(report),
+        lines=lambda: [
             f"hypercube d={report['d']} (n={report['n']})",
             f"bandwidth:  exact={bw['exact']} printed-formula={bw['harper_printed']} "
             f"standard-formula={bw['harper_standard']} (using {bw['used']}, {bw['source']})",
             f"cycle rank: {report['r_exact']}",
             f"pathwidth:  {report['pw_exact']} (pw == bw: {_fmt(report['pw_equals_bw'])})",
-            f"bound r <= R_bw(n):        {report['bounds']['recurrence_height']} "
-            f"(holds: {_fmt(report['bounds']['recurrence_holds_for_r'])})",
-            f"bound bw(1+log(n/bw)):     {report['bounds']['log_bound']['display']:.4f} "
-            f"(holds: {_fmt(report['bounds']['log_bound']['holds_for_r'])})",
-            f"bound bw*log(n/bw) (as printed): {report['bounds']['log_bound_no_leading_term']['display']:.4f} "
-            f"(holds: {_fmt(report['bounds']['log_bound_no_leading_term']['holds_for_r'])})",
-            f"older-chain contrast 1+(bw+1)d:  {report['bounds']['older_chain_contrast']['display']:.1f} "
-            f"(exceeds n: {_fmt(report['bounds']['older_chain_contrast']['exceeds_order'])})",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+            f"bound r <= R_bw(n):        {bounds['recurrence_height']} "
+            f"(holds: {_fmt(bounds['recurrence_holds_for_r'])})",
+            f"bound bw(1+log(n/bw)):     {bounds['log_bound']['display']:.4f} "
+            f"(holds: {_fmt(bounds['log_bound']['holds_for_r'])})",
+            f"bound bw*log(n/bw) (as printed): {bounds['log_bound_no_leading_term']['display']:.4f} "
+            f"(holds: {_fmt(bounds['log_bound_no_leading_term']['holds_for_r'])})",
+            f"older-chain contrast 1+(bw+1)d:  {bounds['older_chain_contrast']['display']:.1f} "
+            f"(exceeds n: {_fmt(bounds['older_chain_contrast']['exceeds_order'])})",
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
 # rank / separator
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> Output:
     g = _read_graph(args)
     if args.k is not None:
         k = args.k
     else:
-        k = max(separator_number(g, cap=_effective_cap(args, SEPARATOR_NUMBER_CAP)), 1)
+        k = max(separator_number(g, cap=_effective_cap(args, PARAMS["s"].cap)), 1)
     ranking = separator_ranking(g, k, cap=_effective_cap(args, MIN_SEPARATOR_CAP))
-    cfg = _config_dict(args, ["input", "k", "format", "cap_n"])
-    if args.format == "json":
-        _emit(args, json.dumps({"config": cfg, "k": k, **ranking.to_json_dict()}, indent=2) + "\n")
-    elif args.format == "csv":
-        rows = [["vertex", "level"]] + [[v, l] for v, l in sorted(ranking.level.items())]
-        _emit(args, _config_comment(cfg) + _csv(rows))
-    else:
-        lines = [f"k = {k}", f"height = {ranking.height}"]
-        lines.extend(f"vertex {v}: level {l}" for v, l in sorted(ranking.level.items()))
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    levels = sorted(ranking.level.items())
+    return Output(
+        payload=lambda: {"k": k, **ranking.to_json_dict()},
+        rows=lambda: [["vertex", "level"]] + [[v, l] for v, l in levels],
+        lines=lambda: [f"k = {k}", f"height = {ranking.height}"]
+        + [f"vertex {v}: level {l}" for v, l in levels],
+    )
 
 
-def cmd_separator(args) -> int:
+def cmd_separator(args) -> Output:
     g = _read_graph(args)
-    cfg = _config_dict(args, ["input", "strict", "chordal_clique", "format", "cap_n"])
+    cap = _effective_cap(args, MIN_SEPARATOR_CAP)
     if args.chordal_clique:
-        clique, cert = chordal_clique_separator(g, cap=_effective_cap(args, MIN_SEPARATOR_CAP))
-        payload = {"clique": list(clique), "certificate": cert.to_json_dict()}
+        clique, cert = chordal_clique_separator(g, cap=cap)
+        head = {"clique": list(clique)}
     else:
-        size, witness = min_balanced_separator(
-            g, strict=args.strict, cap=_effective_cap(args, MIN_SEPARATOR_CAP)
-        )
+        size, witness = min_balanced_separator(g, strict=args.strict, cap=cap)
         cert = check_separator(g, witness)
-        payload = {"size": size, "certificate": cert.to_json_dict()}
-    if args.format == "json":
-        _emit(args, json.dumps({"config": cfg, **payload}, indent=2) + "\n")
-    elif args.format == "csv":
-        cert_d = payload["certificate"]
-        rows = [
+        head = {"size": size}
+    c = cert.to_json_dict()
+    return Output(
+        payload=lambda: {**head, "certificate": c},
+        rows=lambda: [
             ["x", "component_sizes", "balanced", "strictly_balanced"],
-            [
-                " ".join(map(str, cert_d["x"])),
-                " ".join(map(str, cert_d["component_sizes"])),
-                cert_d["balanced"],
-                cert_d["strictly_balanced"],
-            ],
-        ]
-        _emit(args, _config_comment(cfg) + _csv(rows))
-    else:
-        cert_d = payload["certificate"]
-        lines = [
-            f"x = {cert_d['x']}",
-            f"component sizes = {cert_d['component_sizes']}",
-            f"balanced = {_fmt(cert_d['balanced'])}",
-            f"strictly balanced = {_fmt(cert_d['strictly_balanced'])}",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+            [" ".join(map(str, c["x"])), " ".join(map(str, c["component_sizes"])),
+             c["balanced"], c["strictly_balanced"]],
+        ],
+        lines=lambda: [
+            f"x = {c['x']}",
+            f"component sizes = {c['component_sizes']}",
+            f"balanced = {_fmt(c['balanced'])}",
+            f"strictly balanced = {_fmt(c['strictly_balanced'])}",
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,46 +477,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--width", type=int)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, config=())
 
     p = sub.add_parser("compute", parents=[common], help="compute width parameters")
-    p.add_argument("--params", default=",".join(_PARAM_NAMES))
-    p.set_defaults(func=cmd_compute)
+    p.add_argument("--params", default=",".join(PARAMS))
+    p.set_defaults(func=cmd_compute,
+                   config=("input", "format", "params", "seed", "cap_n", "deep"))
 
     p = sub.add_parser("verify-chain", parents=[common],
                        help="verify both inequality chains; exit 0 iff they hold")
-    p.set_defaults(func=cmd_verify_chain)
+    p.set_defaults(func=cmd_verify_chain,
+                   config=("input", "format", "seed", "cap_n", "deep"))
 
     p = sub.add_parser("table", parents=[common], help="recurrence / adjoint tables")
     p.add_argument("what", choices=("R", "N"))
     p.add_argument("--k", required=True, help="k value or range a:b")
     p.add_argument("--n", help="n range for R tables")
     p.add_argument("--r", help="r range for N tables")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, config=("what", "k", "n", "r", "format"))
 
     p = sub.add_parser("audit", parents=[common], help="closed-form claims audit")
     p.add_argument("--k-max", type=int, default=4, dest="k_max")
     p.add_argument("--r-max", type=int, default=20, dest="r_max")
     p.add_argument("--n-max", type=int, default=40, dest="n_max")
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=cmd_audit, config=("k_max", "r_max", "n_max", "format"))
 
     p = sub.add_parser("corpus", parents=[common], help="seeded property-check corpus run")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--n-max", type=int, default=10, dest="n_max")
-    p.set_defaults(func=cmd_corpus)
+    p.set_defaults(func=cmd_corpus, config=("count", "n_max", "seed", "format"))
 
     p = sub.add_parser("hypercube-report", parents=[common], help="hypercube width report")
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_hypercube_report)
+    p.set_defaults(func=cmd_hypercube_report, config=("d", "deep", "format"))
 
     p = sub.add_parser("rank", parents=[common], help="separator-based vertex ranking")
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_rank)
+    p.set_defaults(func=cmd_rank, config=("input", "k", "format", "cap_n"))
 
     p = sub.add_parser("separator", parents=[common], help="balanced separator certificates")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--chordal-clique", action="store_true", dest="chordal_clique")
-    p.set_defaults(func=cmd_separator)
+    p.set_defaults(func=cmd_separator,
+                   config=("input", "strict", "chordal_clique", "format", "cap_n"))
 
     return ap
 
@@ -627,7 +530,10 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = "csv" if args.subcommand == "table" else "json"
     try:
-        return args.func(args)
+        out = args.func(args)
+        config = {"subcommand": args.subcommand, **{key: getattr(args, key) for key in args.config}}
+        _emit(args, render(args.format, config, out))
+        return out.code
     except MalformedInput as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -54,29 +54,26 @@ def R_explicit(k: int, n: int) -> int:
 def N_adjoint(k: int, r: int) -> int:
     """Smallest n with R_k(n) >= r; N_k(0) = 0.
 
-    Ground truth by scanning R_rec upward: exponential stepping followed
-    by binary search, valid because R_k is monotone in n (that
-    monotonicity is itself exhaustively tested elsewhere).
+    The adjoint obeys its own recurrence: N_k(r) = r for r <= k, else
+    N_k(r) = 2 * N_k(r - k) + k - 1.  Proof: R_k is monotone in n (that
+    monotonicity is exhaustively tested elsewhere).  For r <= k, R_k(n) = n
+    whenever n <= k, so the least n reaching r is r itself.  For r > k,
+    R_k(n) >= r forces n > k (else R_k(n) = n <= k < r), and for n > k
+    R_k(n) >= r holds exactly when R_k(ceil((n - k)/2)) >= r - k, which by
+    monotonicity is ceil((n - k)/2) >= N_k(r - k), that is
+    n >= 2 * N_k(r - k) + k - 1.  That bound exceeds k, so it is the least n.
+
+    Unrolling j = (r - 1) // k steps brings r down to b = r - j*k in 1..k,
+    and the affine steps compose to N_k(r) = (b + k - 1) * 2^j - (k - 1),
+    which is evaluated here in one shift.
     """
     _check_k(k)
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
     if r == 0:
         return 0
-    lo = r  # R_k(n) <= n, so no smaller n can reach r
-    if R_rec(k, lo) >= r:
-        return lo
-    hi = lo
-    while R_rec(k, hi) < r:
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if R_rec(k, mid) >= r:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    j, rem = divmod(r - 1, k)  # b = rem + 1
+    return ((rem + k) << j) - (k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +250,21 @@ def harper_bandwidth(d: int, variant: str) -> int:
 # ---------------------------------------------------------------------------
 # Tables
 
-
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """R_k(n) over a contiguous n range starting at 0."""
-
-    k: int
-    entries: dict[int, int]
-
-
-@dataclass(frozen=True)
-class AdjointTable:
-    """N_k(r) over a contiguous r range starting at 0."""
-
-    k: int
-    entries: dict[int, int]
+# Largest `table` requests, refused up front: k, the top of the n or r
+# range, and the entries built (k values times (top + 1)).  N_1(r) has
+# about 0.3 * r decimal digits, so every N value stays far below
+# Python's int -> str digit limit.
+TABLE_K_MAX = 4096
+TABLE_N_MAX = 100_000
+TABLE_R_MAX = 4096
+TABLE_ENTRIES_MAX = 100_000
 
 
-def build_R_table(k: int, n_max: int) -> RecurrenceTable:
-    return RecurrenceTable(k, {n: R_rec(k, n) for n in range(n_max + 1)})
+def build_R_table(k: int, n_max: int) -> list[int]:
+    """[R_k(0), ..., R_k(n_max)]."""
+    return [R_rec(k, n) for n in range(n_max + 1)]
 
 
-def build_N_table(k: int, r_max: int) -> AdjointTable:
-    return AdjointTable(k, {r: N_adjoint(k, r) for r in range(r_max + 1)})
+def build_N_table(k: int, r_max: int) -> list[int]:
+    """[N_k(0), ..., N_k(r_max)]."""
+    return [N_adjoint(k, r) for r in range(r_max + 1)]

@@ -38,7 +38,7 @@ def bits_of(mask: int) -> tuple[int, ...]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "adj_bits", "_full_mask")
+    __slots__ = ("n", "adj_bits", "_full_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -53,7 +53,6 @@ class Graph:
             bits[v] |= 1 << u
         self.n = n
         self.adj_bits = tuple(bits)
-        self.adj = tuple(frozenset(bits_of(b)) for b in bits)
         self._full_mask = (1 << n) - 1
 
     @property
@@ -157,7 +156,7 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     edges = [
         (new_id[u], new_id[v])
         for u in keep
-        for v in g.adj[u]
+        for v in bits_of(g.adj_bits[u])
         if u < v and v in new_id
     ]
     return Graph(len(keep), edges), tuple(keep)
@@ -180,7 +179,7 @@ def lex_bfs_order(g: Graph) -> list[int]:
                 best = v
         visited[best] = True
         order.append(best)
-        for w in g.adj[best]:
+        for w in bits_of(g.adj_bits[best]):
             if not visited[w]:
                 # Larger labels sort later; prepend of (n - i) keeps
                 # lexicographic comparison on plain tuples correct.
@@ -196,7 +195,7 @@ def _find_hole(g: Graph) -> tuple[int, ...]:
     through v.  Shortest paths are induced, so the cycle is a hole.
     """
     for v in range(g.n):
-        nb = sorted(g.adj[v])
+        nb = bits_of(g.adj_bits[v])
         for i, u in enumerate(nb):
             for w in nb[i + 1 :]:
                 if g.has_edge(u, w):
@@ -215,7 +214,7 @@ def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> list[int]:
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.adj[u]:
+            for w in bits_of(g.adj_bits[u]):
                 if (allowed >> w) & 1 and w not in parent:
                     parent[w] = u
                     if w == dst:
@@ -243,7 +242,7 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...]]:
     for i, v in enumerate(order):
         pos[v] = i
     for v in order:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
+        later = [u for u in bits_of(g.adj_bits[v]) if pos[u] > pos[v]]
         if not later:
             continue
         p = min(later, key=lambda u: pos[u])
@@ -269,7 +268,7 @@ def maximal_cliques_chordal(g: Graph, peo: tuple[int, ...] | None = None) -> lis
         pos[v] = i
     candidates = set()
     for v in peo:
-        later = mask_of(u for u in g.adj[v] if pos[u] > pos[v])
+        later = mask_of(u for u in bits_of(g.adj_bits[v]) if pos[u] > pos[v])
         candidates.add(later | (1 << v))
     cliques = [
         c
@@ -435,9 +434,13 @@ def parse_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             continue
         fields = line.split(" ")
-        if len(fields) != 2 or not all(f.isdigit() for f in fields):
-            raise MalformedInput(f"expected two integers, got {line!r}", line=lineno)
-        a, b = int(fields[0]), int(fields[1])
+        try:
+            # int() also takes signs, spaces and non-ASCII digits; the format does not.
+            if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
+                raise ValueError
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:  # also a field past Python's int digit limit
+            raise MalformedInput(f"expected two integers, got {line!r}", line=lineno) from None
         if header is None:
             header = (a, b)
             header_line = lineno

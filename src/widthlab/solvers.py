@@ -14,6 +14,7 @@ treewidth = pathwidth = bandwidth = 0; a single vertex has cycle rank 1
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
 from .errors import DomainError, InvalidSeparator, InvariantViolation, SizeLimitExceeded
@@ -486,7 +487,7 @@ def bandwidth(g: Graph, cap: int = BW_CAP) -> tuple[int, tuple[int, ...]]:
         while frontier:
             nxt = []
             for u in frontier:
-                for w in sorted(g.adj[u]):
+                for w in bits_of(g.adj_bits[u]):
                     if not (seen >> w) & 1:
                         seen |= 1 << w
                         bfs_order.append(w)
@@ -529,12 +530,7 @@ class WidthReport:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "s": self.s,
-            "s_strict": self.s_strict,
-            "tw": self.tw,
-            "pw": self.pw,
-            "bw": self.bw,
-            "r": self.r,
+            **{name: getattr(self, name) for name in PARAMS},
             "thm9_ok": self.thm9_ok,
             "thm2_ok": self.thm2_ok,
             "bounds": {
@@ -546,30 +542,59 @@ class WidthReport:
         }
 
 
-def verify_chain(
-    g: Graph,
-    sep_cap: int = SEPARATOR_NUMBER_CAP,
-    tw_cap: int = TW_CAP,
-    bw_cap: int = BW_CAP,
-    rank_cap: int = RANK_CAP,
-) -> WidthReport:
+@dataclass(frozen=True)
+class Param:
+    """One width parameter: its solver call, caps and JSON witness."""
+
+    solve: Callable[[Graph, int], tuple]  # (g, cap) -> (value, raw witness)
+    cap: int
+    deep_cap: int
+    witness: Callable[[object], dict]  # raw witness -> JSON witness
+
+    def run(self, g: Graph, cap: int) -> tuple[int, dict]:
+        value, raw = self.solve(g, cap)
+        return value, self.witness(raw)
+
+
+# Every width parameter, in report order.  The solvers are looked up by
+# module-level name at call time, so a wrapper installed on a module
+# attribute sees every call made through the registry.
+PARAMS: dict[str, Param] = {
+    "s": Param(lambda g, cap: separator_number_with_witness(g, strict=False, cap=cap),
+               SEPARATOR_NUMBER_CAP, SEPARATOR_NUMBER_CAP, lambda wit: wit),
+    "s_strict": Param(lambda g, cap: separator_number_with_witness(g, strict=True, cap=cap),
+                      SEPARATOR_NUMBER_CAP, SEPARATOR_NUMBER_CAP, lambda wit: wit),
+    "tw": Param(lambda g, cap: treewidth(g, cap=cap), TW_CAP, TW_CAP,
+                lambda order: {"elimination_order": list(order)}),
+    "pw": Param(lambda g, cap: pathwidth(g, cap=cap), PW_CAP, PW_CAP,
+                lambda order: {"layout": list(order)}),
+    "bw": Param(lambda g, cap: bandwidth(g, cap=cap), BW_CAP, BW_CAP_DEEP,
+                lambda layout: {"layout": list(layout)}),
+    "r": Param(lambda g, cap: cycle_rank(g, cap=cap), RANK_CAP, RANK_CAP_DEEP,
+               Ranking.to_json_dict),
+}
+
+
+def verify_chain(g: Graph, caps: dict[str, int] | None = None) -> WidthReport:
     """Compute every parameter and check both inequality chains exactly.
 
-    The non-strict separator number feeds the newer chain, the strict
-    one feeds the older chain, exactly as the two statements are phrased.
-    A violated inequality is reported, never raised.  For edgeless
-    graphs (s = 0) the logarithmic bound is evaluated at k = 1 -- the
-    smallest k the recurrence is defined for; the bound is monotone in
-    k, so this is still a valid upper bound -- and the report is flagged.
+    `caps` maps parameter names to size caps; a missing name gets its
+    default cap from PARAMS.  The non-strict separator number feeds the
+    newer chain, the strict one feeds the older chain, exactly as the two
+    statements are phrased.  A violated inequality is reported, never
+    raised.  For edgeless graphs (s = 0) the logarithmic bound is
+    evaluated at k = 1 -- the smallest k the recurrence is defined for;
+    the bound is monotone in k, so this is still a valid upper bound --
+    and the report is flagged.
     """
     if g.n < 2:
         raise DomainError(f"verify_chain requires n >= 2, got n = {g.n}")
-    s, s_wit = separator_number_with_witness(g, strict=False, cap=sep_cap)
-    s_strict, s_strict_wit = separator_number_with_witness(g, strict=True, cap=sep_cap)
-    tw, tw_order = treewidth(g, cap=tw_cap)
-    pw, pw_order = pathwidth(g, cap=tw_cap)
-    bw, bw_layout = bandwidth(g, cap=bw_cap)
-    r, ranking = cycle_rank(g, cap=rank_cap)
+    caps = caps or {}
+    values: dict[str, int] = {}
+    witnesses: dict[str, dict] = {}
+    for name, param in PARAMS.items():
+        values[name], witnesses[name] = param.run(g, caps.get(name, param.cap))
+    s, s_strict, tw, pw, bw, r = values.values()
 
     flags = []
     if len(component_masks(g)) > 1:
@@ -585,22 +610,9 @@ def verify_chain(
     thm2_bound_holds = b2.leq(r)
     thm2_ok = (s_strict - 1 <= tw) and thm2_bound_holds
 
-    witnesses = {
-        "s": s_wit,
-        "s_strict": s_strict_wit,
-        "tw": {"elimination_order": list(tw_order)},
-        "pw": {"layout": list(pw_order)},
-        "bw": {"layout": list(bw_layout)},
-        "r": ranking.to_json_dict(),
-    }
     return WidthReport(
         n=g.n,
-        s=s,
-        s_strict=s_strict,
-        tw=tw,
-        pw=pw,
-        bw=bw,
-        r=r,
+        **values,
         thm9_ok=thm9_ok,
         thm2_ok=thm2_ok,
         thm9_bound_holds=thm9_bound_holds,

@@ -40,7 +40,7 @@ def _balanced(adj, universe, x, strict):
 
 
 def _adj_sets(g: Graph):
-    return [set(g.adj[v]) for v in range(g.n)]
+    return [{u for u in range(g.n) if (g.adj_bits[v] >> u) & 1} for v in range(g.n)]
 
 
 def oracle_min_balanced_separator(g: Graph, strict=False) -> int:
@@ -143,6 +143,37 @@ def oracle_is_chordal(g: Graph) -> bool:
             if len(_components(adj, s)) == 1:
                 return False
     return True
+
+
+def oracle_R(k: int, n: int) -> int:
+    """The ranking recurrence, straight from its definition."""
+    if n <= k:
+        return n
+    return k + oracle_R(k, -(-(n - k) // 2))
+
+
+def oracle_N_adjoint(k: int, r: int) -> int:
+    """Smallest n with R_k(n) >= r, by scanning R_k upward.
+
+    Exponential stepping followed by binary search, valid because R_k is
+    monotone in n.
+    """
+    if r == 0:
+        return 0
+    lo = r  # R_k(n) <= n, so no smaller n can reach r
+    if oracle_R(k, lo) >= r:
+        return lo
+    hi = lo
+    while oracle_R(k, hi) < r:
+        lo = hi
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if oracle_R(k, mid) >= r:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def oracle_subgraph_of_path_power(g: Graph, k: int) -> bool:

@@ -1,8 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from widthlab.audit import AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX
 from widthlab.cli import main
+from widthlab.closed_forms import TABLE_ENTRIES_MAX, TABLE_K_MAX, TABLE_N_MAX, TABLE_R_MAX
+from widthlab.graph import GENERATOR_CAP
+from widthlab.separators import MIN_SEPARATOR_CAP
+from widthlab.solvers import PARAMS
 
 
 def run(capsys, *argv):
@@ -298,3 +305,86 @@ def test_verify_chain_text_format(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-chain", "--input", f, "--format", "text")
     assert code == 0
     assert "thm9_ok  = true" in out and "thm2_ok  = true" in out
+
+
+# --- error contract ------------------------------------------------------------
+
+
+def test_non_ascii_digit_field_exit3(capsys, tmp_path):
+    f = write_graph(tmp_path, "2 1\n0 ²\n")
+    code, _, err = run(capsys, "compute", "--input", f, "--params", "tw")
+    assert code == 3
+    assert "line 2" in err
+
+
+def test_non_utf8_input_file_exit3(capsys, tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_bytes(b"2 1\n0 \xff\n")
+    code, _, err = run(capsys, "compute", "--input", str(p), "--params", "tw")
+    assert code == 3
+    assert "UTF-8" in err
+
+
+def test_non_utf8_stdin_exit3(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"2 1\n0 \xff\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = run(capsys, "compute", "--input", "-", "--params", "tw")
+    assert code == 3
+
+
+def test_unwritable_output_exit2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "table", "R", "--k", "1", "--n", "0:3", "--output", str(target))
+    assert code == 2
+    assert out == "" and "cannot write" in err
+
+
+# --- table / audit bounds ------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["table", "N", "--k", str(TABLE_K_MAX + 1), "--r", "0"],
+    ["table", "R", "--k", str(TABLE_K_MAX + 1), "--n", "0"],
+    ["table", "N", "--k", "1", "--r", str(TABLE_R_MAX + 1)],
+    ["table", "R", "--k", "1", "--n", f"0:{TABLE_N_MAX + 1}"],
+    ["table", "R", "--k", "1", "--n", "0:1000000000"],
+    ["table", "R", "--k", "1:2", "--n", f"{TABLE_ENTRIES_MAX // 2}"],
+    ["table", "N", "--k", f"1:{TABLE_ENTRIES_MAX // TABLE_R_MAX + 1}", "--r", f"0:{TABLE_R_MAX - 1}"],
+    ["audit", "--k-max", str(AUDIT_K_MAX + 1)],
+    ["audit", "--r-max", str(AUDIT_R_MAX + 1)],
+    ["audit", "--n-max", str(AUDIT_N_MAX + 1)],
+    ["audit", "--k-max", "3000", "--r-max", "1", "--n-max", "1", "--cap-n", "5000"],
+])
+def test_table_and_audit_refuse_oversized_requests_exit4(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == "" and "size limit" in err
+
+
+def test_table_negative_range_exit2(capsys):
+    code, _, _ = run(capsys, "table", "R", "--k", "1", "--n=-3:2")
+    assert code == 2
+
+
+def test_readme_caps_match_registry():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Size caps"):readme.index("## Determinism")]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|") and not line.startswith("|--")
+    ]
+    caps = {row[0]: (int(row[2]), int(row[3])) for row in rows[1:] if len(row) == 4}
+    names = {row[0]: re.findall(r"`(\w+)`", row[1]) for row in rows[1:] if len(row) == 4}
+    from_readme = {name: caps[op] for op in caps for name in names[op]}
+    assert from_readme == {p: (spec.cap, spec.deep_cap) for p, spec in PARAMS.items()}
+    assert caps["min separator / ranking / clique separator"] == (MIN_SEPARATOR_CAP,) * 2
+    assert caps["generators"] == (GENERATOR_CAP,) * 2
+
+    bounds = {row[0]: row[1:] for row in rows if len(row) == 5}
+    table = bounds["`table`"]
+    assert [int(x) for x in table[:3]] == [TABLE_K_MAX, TABLE_N_MAX, TABLE_R_MAX]
+    assert table[3].startswith(f"{TABLE_ENTRIES_MAX} ")
+    audit = bounds["`audit`"]
+    assert [int(x) for x in audit[:3]] == [AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX]

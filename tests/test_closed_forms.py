@@ -19,6 +19,8 @@ from widthlab import (
 )
 from widthlab.closed_forms import build_N_table, build_R_table, fmin_boundary_holds
 
+from .conftest import oracle_N_adjoint
+
 
 def test_R_rec_examples():
     assert R_rec(3, 2) == 2          # base case n <= k
@@ -72,6 +74,12 @@ def test_adjoint_recurrence(k):
     # N_k(r + k) = 2 N_k(r) + k - 1
     for r in range(1, 40):
         assert N_adjoint(k, r + k) == 2 * N_adjoint(k, r) + k - 1
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_N_adjoint_matches_scan_oracle(k):
+    for r in range(200):
+        assert N_adjoint(k, r) == oracle_N_adjoint(k, r)
 
 
 def test_adjoint_strictly_increasing():
@@ -159,6 +167,6 @@ def test_harper_variants_ordering():
 
 def test_tables():
     t = build_R_table(2, 10)
-    assert t.k == 2 and t.entries[10] == R_rec(2, 10) and t.entries[0] == 0
+    assert len(t) == 11 and t[10] == R_rec(2, 10) and t[0] == 0
     a = build_N_table(3, 8)
-    assert a.entries[0] == 0 and a.entries[8] == N_adjoint(3, 8)
+    assert len(a) == 9 and a[0] == 0 and a[8] == N_adjoint(3, 8)

@@ -65,7 +65,7 @@ def test_hypercube():
 
 def test_star_complete_cbt():
     s3 = star(3)
-    assert s3.n == 4 and sorted(s3.adj[0]) == [1, 2, 3]
+    assert s3.n == 4 and s3.adj_bits[0] == 0b1110
     assert complete(3).num_edges() == 3
     t = complete_binary_tree(3)
     assert t.n == 7 and t.num_edges() == 6
@@ -111,10 +111,10 @@ def test_random_chordal_is_chordal_with_known_clique(n, width, seed):
 def test_generator_invariants(n, p, seed):
     g = random_graph(n, p, seed)
     for v in range(g.n):
-        assert v not in g.adj[v]
-        for u in g.adj[v]:
-            assert 0 <= u < g.n
-            assert v in g.adj[u]
+        assert not (g.adj_bits[v] >> v) & 1
+        assert g.adj_bits[v] >> g.n == 0
+        for u in range(g.n):
+            assert (g.adj_bits[v] >> u) & 1 == (g.adj_bits[u] >> v) & 1
 
 
 # --- components / induced -----------------------------------------------------
@@ -170,6 +170,15 @@ def test_is_chordal_examples():
     assert len(hole) == 4
     ok, _ = is_chordal(random_chordal(10, 3, 11))
     assert ok
+
+
+def test_hole_follows_ascending_id_order():
+    # The shortest path that closes the hole takes the smallest-id
+    # neighbor first; an order other than ascending ids gave (3, 6, 8, 5, 9)
+    # on this graph.
+    edges = "0-4 1-3 1-9 2-5 3-6 3-9 4-7 5-7 5-8 5-9 5-10 6-7 6-8 7-8 8-10"
+    g = Graph(11, [tuple(map(int, e.split("-"))) for e in edges.split()])
+    assert is_chordal(g) == (False, (3, 6, 7, 5, 9))
 
 
 def test_hole_witness_is_induced_cycle():
