@@ -14,6 +14,7 @@ comment line in CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -116,10 +117,13 @@ def _read_graph(args):
     try:
         if args.input == "-":
             text = sys.stdin.read()
+            # Under a C or POSIX locale stdin decodes with surrogateescape, so
+            # bytes that are not UTF-8 arrive as lone surrogates: encoding fails.
+            text.encode("utf-8")
         else:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise MalformedInput(f"input is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}") from exc
@@ -455,6 +459,7 @@ def cmd_separator(args) -> Output:
 # Argument parsing
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="edge-list file, or '-' for stdin")

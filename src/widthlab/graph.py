@@ -422,6 +422,19 @@ def random_chordal(n: int, width: int, seed: int) -> Graph:
 # '\n'-terminated.  Duplicate edges are rejected.
 
 
+def _quote(line: str) -> str:
+    """repr of `line` for an error message; past 60 characters, cut and with its length."""
+    if len(line) <= 60:
+        return repr(line)
+    return f"{line[:60]!r}... ({len(line)} characters)"
+
+
+def _number(x: int) -> str:
+    """`x` for an error message, or its digit count when it has more than 60 digits."""
+    digits = str(x)
+    return digits if len(digits) <= 60 else f"<{len(digits)}-digit number>"
+
+
 def parse_edge_list(text: str) -> Graph:
     if text and not text.endswith("\n"):
         raise MalformedInput("missing final newline", line=text.count("\n") + 1)
@@ -440,20 +453,22 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError
             a, b = int(fields[0]), int(fields[1])
         except ValueError:  # also a field past Python's int digit limit
-            raise MalformedInput(f"expected two integers, got {line!r}", line=lineno) from None
+            raise MalformedInput(f"expected two integers, got {_quote(line)}", line=lineno) from None
         if header is None:
             header = (a, b)
             header_line = lineno
             n, m = a, b
             if n > GENERATOR_CAP:
-                raise SizeLimitExceeded(f"vertex count {n} exceeds cap {GENERATOR_CAP}")
+                raise SizeLimitExceeded(f"vertex count {_number(n)} exceeds cap {GENERATOR_CAP}")
             continue
         if len(edges) == m:
             raise MalformedInput(f"more than {m} edge lines", line=lineno)
         if not a < b:
-            raise MalformedInput(f"edge must satisfy u < v, got {a} {b}", line=lineno)
+            raise MalformedInput(
+                f"edge must satisfy u < v, got {_number(a)} {_number(b)}", line=lineno
+            )
         if b >= n:
-            raise MalformedInput(f"vertex id {b} out of range 0..{n - 1}", line=lineno)
+            raise MalformedInput(f"vertex id {_number(b)} out of range 0..{n - 1}", line=lineno)
         if (a, b) in seen:
             raise MalformedInput(f"duplicate edge {a} {b}", line=lineno)
         seen.add((a, b))
@@ -462,7 +477,7 @@ def parse_edge_list(text: str) -> Graph:
         raise MalformedInput("missing 'n m' header line", line=1)
     if len(edges) != m:
         raise MalformedInput(
-            f"header promises {m} edges, found {len(edges)}", line=header_line
+            f"header promises {_number(m)} edges, found {len(edges)}", line=header_line
         )
     return Graph(n, edges)
 

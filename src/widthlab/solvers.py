@@ -420,48 +420,42 @@ def _layout_stretch(g: Graph, order: tuple[int, ...]) -> int:
 def _bandwidth_feasible(g: Graph, b: int) -> tuple[int, ...] | None:
     """Lexicographically smallest layout with stretch <= b, or None.
 
-    Depth-first placement into positions 0..n-1 with two exact prunes: a
-    new vertex must sit within b of all its placed neighbors, and the
-    vertex at position i - b must have no unplaced neighbors once
-    position i is filled.
+    Depth-first placement into positions 0..n-1, trying the unplaced
+    vertices in ascending id order, with one exact prune: the deadline
+    (earliest-deadline-first) check of Del Corso & Manzini (1999) and
+    Caprara & Salazar-Gonzalez (2005).  An unplaced vertex whose first
+    placed neighbour sits at position p must land at or before p + b.
+    With positions 0..i-1 filled, sort those deadlines; if the j-th
+    smallest (from 0) is below i + j, the j + 1 most urgent vertices do
+    not fit into positions i..i+j and no completion exists.  The check is
+    a necessary condition, so it cuts only infeasible branches; it also
+    implies that every candidate for position i is within b of its
+    placed neighbours.  As candidates are tried in ascending id order and
+    no feasible branch is cut, the first layout found is the
+    lexicographically smallest one with stretch <= b.
     """
     n = g.n
     adj = g.adj_bits
-    pos = [-1] * n
+    deadline = [0] * n  # valid only for vertices in `frontier`
     seq: list[int] = []
-    unplaced = g.full_mask
 
-    def dfs(i: int) -> bool:
-        nonlocal unplaced
+    def dfs(i: int, unplaced: int, frontier: int) -> bool:
         if i == n:
             return True
-        for v in range(n):
-            if pos[v] != -1:
-                continue
-            placed_nb = adj[v] & ~unplaced
-            ok = True
-            rest = placed_nb
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if i - pos[low.bit_length() - 1] > b:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            pos[v] = i
+        due = sorted(deadline[w] for w in bits_of(frontier))
+        if any(d < i + j for j, d in enumerate(due)):
+            return False
+        for v in bits_of(unplaced):
+            fresh = adj[v] & unplaced & ~frontier
+            for w in bits_of(fresh):
+                deadline[w] = i + b
             seq.append(v)
-            unplaced ^= 1 << v
-            critical = i - b
-            blocked = 0 <= critical and (adj[seq[critical]] & unplaced) != 0
-            if not blocked and dfs(i + 1):
+            if dfs(i + 1, unplaced ^ (1 << v), (frontier | fresh) & ~(1 << v)):
                 return True
-            unplaced ^= 1 << v
             seq.pop()
-            pos[v] = -1
         return False
 
-    if dfs(0):
+    if dfs(0, g.full_mask, 0):
         return tuple(seq)
     return None
 
@@ -469,38 +463,24 @@ def _bandwidth_feasible(g: Graph, b: int) -> tuple[int, ...] | None:
 def bandwidth(g: Graph, cap: int = BW_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact bandwidth with the lexicographically smallest optimal layout.
 
-    Iterative deepening on the stretch bound, from an exact lower bound
-    up to the better of two seed layouts (identity and BFS order).
+    Iterative deepening on the stretch bound b, from an exact lower bound
+    to the first feasible b; stretch n - 1 is always feasible, so the loop
+    ends.  Each b is decided by `_bandwidth_feasible`, whose deadline prune
+    cuts only infeasible branches of an ascending-id search, so the witness
+    is the layout an unpruned search would return: the lexicographically
+    smallest optimal one.
     """
     n = g.n
     if n > cap:
         raise SizeLimitExceeded(f"bandwidth: n = {n} > cap {cap}")
     if n == 0:
         return 0, ()
-    identity = tuple(range(n))
-    bfs_order = []
-    for comp in component_masks(g):
-        src = (comp & -comp).bit_length() - 1
-        seen = 1 << src
-        frontier = [src]
-        bfs_order.append(src)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in bits_of(g.adj_bits[u]):
-                    if not (seen >> w) & 1:
-                        seen |= 1 << w
-                        bfs_order.append(w)
-                        nxt.append(w)
-            frontier = nxt
-    ub = min(_layout_stretch(g, identity), _layout_stretch(g, tuple(bfs_order)))
-    for b in range(_bandwidth_lower_bound(g), ub + 1):
-        layout = _bandwidth_feasible(g, b)
-        if layout is not None:
-            if _layout_stretch(g, layout) != b and g.num_edges() > 0:
-                raise InvariantViolation("bandwidth witness stretch mismatch")
-            return b, layout
-    raise AssertionError("seed layout bound was not feasible; unreachable")
+    b = _bandwidth_lower_bound(g)
+    while (layout := _bandwidth_feasible(g, b)) is None:
+        b += 1
+    if _layout_stretch(g, layout) != b and g.num_edges() > 0:
+        raise InvariantViolation("bandwidth witness stretch mismatch")
+    return b, layout
 
 
 # ---------------------------------------------------------------------------

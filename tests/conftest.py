@@ -101,15 +101,15 @@ def oracle_pathwidth(g: Graph) -> int:
     return best
 
 
-def oracle_bandwidth(g: Graph) -> int:
+def oracle_bandwidth(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Bandwidth and the lexicographically first layout that attains it."""
     edges = list(g.edges())
-    if not edges:
-        return 0
-    best = g.n - 1
-    for order in permutations(range(g.n)):
+    best = None
+    for order in permutations(range(g.n)):  # lexicographic order
         pos = {v: i for i, v in enumerate(order)}
-        stretch = max(abs(pos[u] - pos[v]) for u, v in edges)
-        best = min(best, stretch)
+        stretch = max((abs(pos[u] - pos[v]) for u, v in edges), default=0)
+        if best is None or stretch < best[0]:
+            best = (stretch, order)
     return best
 
 

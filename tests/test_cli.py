@@ -334,6 +334,19 @@ def test_non_utf8_stdin_exit3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_surrogate_escaped_stdin_exit3(capsys, monkeypatch):
+    # Under a C or POSIX locale, Python decodes stdin with surrogateescape, so
+    # the bad byte arrives as a lone surrogate instead of raising.
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"2 1\n0 \xff\n"), encoding="utf-8",
+                             errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = run(capsys, "compute", "--input", "-", "--params", "tw")
+    assert code == 3
+    assert "UTF-8" in err
+
+
 def test_unwritable_output_exit2(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "table", "R", "--k", "1", "--n", "0:3", "--output", str(target))

@@ -232,7 +232,7 @@ def test_parse_comments_and_roundtrip():
     "text,line",
     [
         ("3 1\n0 3\n", 2),          # id out of range
-        ("3 1\n1 0\n", 2),          # u >= v
+        ("3 1\n1 0\n", 2),     
         ("3 2\n0 1\n0 1\n", 3),     # duplicate edge
         ("3 2\n0 1\n", 1),          # fewer edges than promised
         ("3 1\n0 1\n1 2\n", 3),     # more edges than promised
@@ -245,6 +245,30 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(MalformedInput) as err:
         parse_edge_list(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 1\n0 " + "9" * 4000 + "\n",
+        "3 1\n" + "9" * 4000 + " 1\n",
+        "3 " + "9" * 4000 + "\n0 1\n",
+        "9" * 4000 + " 1\n",
+    ],
+    ids=["id-range", "u-ge-v", "edge-count", "vertex-cap"],
+)
+def test_parse_error_messages_are_bounded(text):
+    with pytest.raises((MalformedInput, SizeLimitExceeded)) as err:
+        parse_edge_list(text)
+    assert len(str(err.value)) < 200
+
+
+def test_parse_error_quotes_long_line_with_its_length():
+    # 5,000 digits is past Python's int digit limit
+    with pytest.raises(MalformedInput) as err:
+        parse_edge_list("0" * 5000 + "\n")
+    quoted = f"{'0' * 60!r}... (5000 characters)"
+    assert str(err.value) == f"line 1: expected two integers, got {quoted}"
 
 
 @given(st.integers(0, 12), st.floats(0, 1), st.integers(0, 2**32))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from widthlab import (
@@ -25,7 +27,7 @@ from widthlab import (
     treewidth,
     verify_chain,
 )
-from widthlab.solvers import eliminate_and_measure, separation_profile
+from widthlab.solvers import PARAMS, eliminate_and_measure, separation_profile
 
 from .conftest import (
     oracle_bandwidth,
@@ -205,14 +207,39 @@ def test_bandwidth_examples():
         bandwidth(Graph(13))
 
 
+def _stretch(g, layout):
+    pos = {v: i for i, v in enumerate(layout)}
+    return max((abs(pos[u] - pos[v]) for u, v in g.edges()), default=0)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_bandwidth_matches_bruteforce(seed):
     g = random_graph(6, 0.4, 1300 + seed)
     value, layout = bandwidth(g)
-    assert value == oracle_bandwidth(g)
-    pos = {v: i for i, v in enumerate(layout)}
-    stretch = max((abs(pos[u] - pos[v]) for u, v in g.edges()), default=0)
-    assert stretch == value
+    assert (value, layout) == oracle_bandwidth(g)
+    assert _stretch(g, layout) == value
+
+
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_bandwidth_layout_is_lex_first_optimal(p):
+    # The pruned search must return the first optimal permutation in
+    # lexicographic order, exactly as exhaustive enumeration finds it.
+    for n in range(1, 9):
+        g = random_graph(n, p, 1600 + n)
+        assert bandwidth(g) == oracle_bandwidth(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_graph(16, 0.15, 1700), random_graph(16, 0.5, 1701),
+     random_graph(16, 0.85, 1702), hypercube(4)],
+    ids=["sparse", "mid", "dense", "Q4"],
+)
+def test_bandwidth_at_deep_cap(g):
+    value, layout = bandwidth(g, cap=16)
+    assert sorted(layout) == list(range(16))
+    assert _stretch(g, layout) == value
+    assert pathwidth(g)[0] <= value
 
 
 def test_bandwidth_witness_lex_smallest():
@@ -282,3 +309,42 @@ def test_report_json_schema():
     assert set(d["bounds"]) == {"thm9", "thm2"}
     assert set(d["bounds"]["thm9"]) == {"holds", "display"}
     assert set(d["witnesses"]) == {"s", "s_strict", "tw", "pw", "bw", "r"}
+
+
+# --- metamorphic relations -------------------------------------------------------
+
+
+def _values(g, names=tuple(PARAMS)):
+    return {name: PARAMS[name].run(g, PARAMS[name].cap)[0] for name in names}
+
+
+# Parameters that are the maximum over the connected components (the
+# separator numbers are not), so a disjoint union takes the larger part's
+# value and an isolated vertex changes nothing.
+PER_COMPONENT = ("tw", "pw", "bw", "r")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relabelling_keeps_every_parameter(seed):
+    g = random_graph(9, 0.15 * (seed + 1), 1800 + seed)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert _values(relabelled) == _values(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_disjoint_union_takes_max(seed):
+    a = random_graph(6, 0.15 * (seed + 1), 1900 + seed)
+    b = random_graph(5, 0.9 - 0.15 * seed, 1950 + seed)
+    union = Graph(a.n + b.n, [*a.edges(), *((u + a.n, v + a.n) for u, v in b.edges())])
+    va, vb = _values(a, PER_COMPONENT), _values(b, PER_COMPONENT)
+    expected = {name: max(va[name], vb[name]) for name in PER_COMPONENT}
+    assert _values(union, PER_COMPONENT) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_isolated_vertex_changes_nothing(seed):
+    g = random_graph(8, 0.15 * (seed + 1), 2000 + seed)
+    padded = Graph(g.n + 1, g.edges())
+    assert _values(padded, PER_COMPONENT) == _values(g, PER_COMPONENT)
