@@ -101,6 +101,91 @@ def oracle_pathwidth(g: Graph) -> int:
     return best
 
 
+def _bit_reach(adj_bits, start: int, allowed: int) -> int:
+    comp = 1 << start
+    frontier = comp
+    while frontier:
+        nxt = 0
+        for u in range(len(adj_bits)):
+            if frontier >> u & 1:
+                nxt |= adj_bits[u]
+        nxt &= allowed & ~comp
+        comp |= nxt
+        frontier = nxt
+    return comp
+
+
+def oracle_treewidth_dp(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Unpruned elimination-ordering DP over all 2^n subsets, with witness.
+
+    TW(S) = min over v in S of max(TW(S - v), fill degree of v after S - v
+    is eliminated), filled for every S in ascending mask order; the
+    witness is rebuilt from V by taking the smallest-id v that attains
+    TW(S) at each step.  This is the table fill the pruned solver must
+    reproduce exactly, witness included.
+    """
+    n = g.n
+    adj = g.adj_bits
+    full = (1 << n) - 1
+
+    def fill_degree(done, v, outside):
+        comp = _bit_reach(adj, v, done | (1 << v))
+        nb = 0
+        for u in range(n):
+            if comp >> u & 1:
+                nb |= adj[u]
+        return (nb & outside).bit_count()
+
+    tw = [0] * (full + 1)
+    for s_mask in range(1, full + 1):
+        outside = full & ~s_mask
+        tw[s_mask] = min(
+            max(tw[s_mask ^ (1 << v)], fill_degree(s_mask ^ (1 << v), v, outside))
+            for v in range(n) if s_mask >> v & 1
+        )
+    order = []
+    s_mask = full
+    while s_mask:
+        outside = full & ~s_mask
+        v = next(
+            v for v in range(n) if s_mask >> v & 1
+            and max(tw[s_mask ^ (1 << v)], fill_degree(s_mask ^ (1 << v), v, outside)) == tw[s_mask]
+        )
+        order.append(v)
+        s_mask ^= 1 << v
+    return tw[full], tuple(reversed(order))
+
+
+def oracle_pathwidth_dp(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Unpruned vertex-separation DP over all 2^n subsets, with witness.
+
+    PW(S) = max(boundary of S, min over v in S of PW(S - v)); the witness
+    is rebuilt from V by taking the smallest-id v that attains PW(S).
+    """
+    n = g.n
+    adj = g.adj_bits
+    full = (1 << n) - 1
+
+    def boundary(s_mask):
+        return sum(1 for u in range(n) if s_mask >> u & 1 and adj[u] & ~s_mask)
+
+    pw = [0] * (full + 1)
+    for s_mask in range(1, full + 1):
+        best = min(pw[s_mask ^ (1 << v)] for v in range(n) if s_mask >> v & 1)
+        pw[s_mask] = max(boundary(s_mask), best)
+    order = []
+    s_mask = full
+    while s_mask:
+        b = boundary(s_mask)
+        v = next(
+            v for v in range(n)
+            if s_mask >> v & 1 and max(b, pw[s_mask ^ (1 << v)]) == pw[s_mask]
+        )
+        order.append(v)
+        s_mask ^= 1 << v
+    return pw[full], tuple(reversed(order))
+
+
 def oracle_bandwidth(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Bandwidth and the lexicographically first layout that attains it."""
     edges = list(g.edges())
