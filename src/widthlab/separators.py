@@ -29,6 +29,20 @@ from .graph import Graph, bits_of, component_masks, is_chordal, mask_of, maximal
 SEPARATOR_NUMBER_CAP = 12
 MIN_SEPARATOR_CAP = 20
 CLIQUE_SUBSET_CAP = 1 << 20
+# Memory one 2^n subset table may take.  No cap raises the n ceilings
+# derived from it; a separator table costs about 82 bytes per subset (one
+# table byte and a _BalanceCache entry, measured), so 2^21 sets take 164 MiB.
+SUBSET_TABLE_BUDGET = 256 << 20
+SEPARATOR_TABLE_MAX_N = 21
+
+
+def check_table_size(what: str, n: int, max_n: int) -> None:
+    """Refuse a 2^n subset table above its fixed ceiling, before allocating it."""
+    if n > max_n:
+        raise SizeLimitExceeded(
+            f"{what}: n = {n} > {max_n}, the largest subset table that fits in "
+            f"{SUBSET_TABLE_BUDGET >> 20} MiB; no cap raises this"
+        )
 
 
 @dataclass(frozen=True)
@@ -192,15 +206,16 @@ def pad_separator(g: Graph, x: Iterable[int]) -> tuple[int, ...]:
 # Balanced separator number
 
 
-def _max_balanced_subset_table(g: Graph, strict: bool) -> list[int]:
+def _max_balanced_subset_table(g: Graph, strict: bool) -> bytearray:
     """f[S] = largest balanced survivor set contained in S, for every S.
 
     f satisfies f[S] = |S| if S itself is balanced, else max over
     one-vertex removals; minimum-separator size of G[Q] is |Q| - f[Q].
     """
     n = g.n
+    check_table_size("separator_number", n, SEPARATOR_TABLE_MAX_N)
     cache = _BalanceCache(g, strict)
-    f = [0] * (1 << n)
+    f = bytearray(1 << n)
     for s_mask in range(1, 1 << n):
         if cache.balanced(s_mask):
             f[s_mask] = s_mask.bit_count()

@@ -1,7 +1,8 @@
 """Exact solvers for cycle rank, treewidth, pathwidth, and bandwidth.
 
 All solvers are exponential-time subset algorithms meant for desk-scale
-graphs; each refuses inputs above its cap.  Every witness returned here
+graphs; each refuses inputs above its cap, and a subset table above its
+fixed n ceiling, before any work.  Every witness returned here
 is re-validated against the reported value before it leaves the solver,
 and tie-breaking is deterministic (smallest vertex id / lexicographically
 smallest sequence), so results are stable across runs.
@@ -23,6 +24,7 @@ from .separators import (
     SEPARATOR_NUMBER_CAP,
     _BalanceCache,
     _pad_once_mask,
+    check_table_size,
     min_balanced_separator_mask,
     separator_number_with_witness,
 )
@@ -33,6 +35,10 @@ TW_CAP = 18
 PW_CAP = 18
 BW_CAP = 12
 BW_CAP_DEEP = 16
+# Fixed n ceilings that no cap raises: at one byte per subset, a 2^28-set
+# table fills SUBSET_TABLE_BUDGET.
+TW_TABLE_MAX_N = 28
+PW_TABLE_MAX_N = 28
 
 
 @dataclass(frozen=True)
@@ -226,36 +232,102 @@ def _fill_degree(g: Graph, done: int, v: int, outside: int) -> int:
     return (nb & outside).bit_count()
 
 
+def _min_fill_order(g: Graph) -> tuple[int, ...]:
+    """Greedy elimination order: least fill, then least degree, then smallest id."""
+    adj = list(g.adj_bits)
+    alive = g.full_mask
+    order = []
+    while alive:
+        keys = []
+        for v in bits_of(alive):
+            nb = adj[v] & alive
+            k = nb.bit_count()
+            edges = sum((adj[u] & nb).bit_count() for u in bits_of(nb)) // 2
+            keys.append((k * (k - 1) // 2 - edges, k, v))
+        v = min(keys)[2]
+        nb = adj[v] & alive
+        for u in bits_of(nb):
+            adj[u] |= nb & ~(1 << u)
+        alive ^= 1 << v
+        order.append(v)
+    return tuple(order)
+
+
+def _treewidth_table(g: Graph, ub: int) -> bytearray:
+    """TW(S) for every S whose value is at most `ub`; every other S holds ub + 1."""
+    adj = g.adj_bits
+    full = g.full_mask
+    tw = bytearray([ub + 1]) * (full + 1)
+    tw[0] = 0
+    for done in range(full + 1):
+        val = tw[done]
+        if val > ub:
+            continue
+        outside = full ^ done
+        # The components of `done`, each with its neighbourhood outside `done`.
+        comps = []
+        rest = done
+        while rest:
+            comp = frontier = rest & -rest
+            reach = 0
+            while frontier:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                reach |= nxt
+                frontier = nxt & done & ~comp
+                comp |= frontier
+            comps.append((comp, reach & outside))
+            rest &= ~comp
+        rest = outside
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nb = adj[low.bit_length() - 1]
+            if nb & done:
+                for comp, comp_nb in comps:
+                    if nb & comp:
+                        nb |= comp_nb
+            d = (nb & outside & ~low).bit_count()
+            if d < val:
+                d = val
+            if d < tw[done | low]:
+                tw[done | low] = d
+    return tw
+
+
 def treewidth(g: Graph, cap: int = TW_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact treewidth with an elimination-ordering witness.
 
     TW(S) is the best width achievable while eliminating exactly the set
-    S first; the chosen vertex is the last of S to go, and its cost is
-    its fill-degree into the remaining graph.
+    S first: TW(S) = min over v in S of max(TW(S - v), fill degree of v
+    into V - S once S - v is gone).
+
+    The table is filled with upper-bound pruning (Bodlaender, Fomin,
+    Koster, Kratsch and Thilikos, "On exact algorithms for treewidth",
+    2006).  A greedy min-fill order, replayed by `eliminate_and_measure`,
+    gives ub >= tw.  The table is a bytearray filled with the sentinel
+    ub + 1; the sets are walked in ascending order, and each one whose
+    value is at most ub pushes its move cost to S + v for every v outside
+    it.  The fill degree of v is adj[v] plus the outside neighbourhoods
+    of the components of S that v touches, found once per set.  A set of
+    value at most ub thus gets its exact value (its best predecessor is
+    no worse, so it was pushed), and every other set keeps ub + 1.
+
+    Reconstruction steps from V to the smallest-id S - v whose move
+    attains TW(S) <= tw <= ub, which a sentinel never does, so the
+    witness is the one the unpruned table gives.
     """
     n = g.n
     if n > cap:
         raise SizeLimitExceeded(f"treewidth: n = {n} > cap {cap}")
+    check_table_size("treewidth", n, TW_TABLE_MAX_N)
     if n == 0:
         return 0, ()
     full = g.full_mask
-    tw = [0] * (full + 1)
-    for s_mask in range(1, full + 1):
-        outside = full & ~s_mask
-        best = n
-        rest = s_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            done = s_mask ^ low
-            val = tw[done]
-            if val >= best:
-                continue
-            d = _fill_degree(g, done, low.bit_length() - 1, outside)
-            val = max(val, d)
-            if val < best:
-                best = val
-        tw[s_mask] = best
+    tw = _treewidth_table(g, eliminate_and_measure(g, _min_fill_order(g)))
     value = tw[full]
 
     order: list[int] = []
@@ -303,42 +375,76 @@ def eliminate_and_measure(g: Graph, order: tuple[int, ...]) -> int:
 
 
 def _boundary(g: Graph, s_mask: int) -> int:
+    adj = g.adj_bits
     count = 0
     rest = s_mask
     outside = ~s_mask
     while rest:
         low = rest & -rest
         rest ^= low
-        if g.adj_bits[low.bit_length() - 1] & outside:
+        if adj[low.bit_length() - 1] & outside:
             count += 1
     return count
+
+
+def _min_boundary_layout(g: Graph) -> tuple[int, ...]:
+    """Greedy layout: next the vertex that leaves the smallest boundary, ties to the smallest id."""
+    prefix = 0
+    order = []
+    for _ in range(g.n):
+        v = min(bits_of(g.full_mask & ~prefix), key=lambda u: _boundary(g, prefix | 1 << u))
+        prefix |= 1 << v
+        order.append(v)
+    return tuple(order)
+
+
+def _pathwidth_table(g: Graph, ub: int) -> bytearray:
+    """PW(S) for every S whose value is at most `ub`; every other S holds ub + 1."""
+    full = g.full_mask
+    pw = bytearray([ub + 1]) * (full + 1)
+    pw[0] = 0
+    for done in range(full + 1):
+        val = pw[done]  # the best over predecessors, before the boundary of `done`
+        if val > ub:
+            continue
+        b = _boundary(g, done)
+        if b > ub:
+            pw[done] = ub + 1
+            continue
+        if b > val:
+            val = pw[done] = b
+        rest = full ^ done
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if val < pw[done | low]:
+                pw[done | low] = val
+    return pw
 
 
 def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact pathwidth via the vertex-separation characterization.
 
     PW(S) is the best worst-boundary over orderings that use S as the
-    set of first |S| layout positions; pathwidth equals PW(V).  Witness
-    is the full vertex order, re-validated by its separation profile.
+    set of first |S| layout positions: PW(S) = max(boundary of S, min
+    over v in S of PW(S - v)); pathwidth equals PW(V).
+
+    The table is pruned as in `treewidth`, with ub from the greedy layout
+    that adds the vertex leaving the smallest boundary (ties to the
+    smallest id), replayed by `separation_profile`.  A set reached with a
+    value at most ub takes its boundary, computed only for such sets, and
+    pushes the result to S + v unless it exceeds ub.  So the witness, the
+    smallest-id choice at every step back from V, is the one the unpruned
+    table gives; it is re-validated by its separation profile.
     """
     n = g.n
     if n > cap:
         raise SizeLimitExceeded(f"pathwidth: n = {n} > cap {cap}")
+    check_table_size("pathwidth", n, PW_TABLE_MAX_N)
     if n == 0:
         return 0, ()
     full = g.full_mask
-    pw = [0] * (full + 1)
-    for s_mask in range(1, full + 1):
-        best = n
-        rest = s_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            val = pw[s_mask ^ low]
-            if val < best:
-                best = val
-        b = _boundary(g, s_mask)
-        pw[s_mask] = max(b, best)
+    pw = _pathwidth_table(g, separation_profile(g, _min_boundary_layout(g)))
     value = pw[full]
 
     order: list[int] = []

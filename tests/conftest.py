@@ -115,75 +115,88 @@ def _bit_reach(adj_bits, start: int, allowed: int) -> int:
     return comp
 
 
-def oracle_treewidth_dp(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Unpruned elimination-ordering DP over all 2^n subsets, with witness.
+def _oracle_fill_degree(adj, done, v, outside):
+    comp = _bit_reach(adj, v, done | (1 << v))
+    nb = 0
+    for u in range(len(adj)):
+        if comp >> u & 1:
+            nb |= adj[u]
+    return (nb & outside).bit_count()
+
+
+def oracle_treewidth_table(g: Graph) -> list[int]:
+    """Unpruned elimination-ordering DP: TW(S) for all 2^n subsets S.
 
     TW(S) = min over v in S of max(TW(S - v), fill degree of v after S - v
-    is eliminated), filled for every S in ascending mask order; the
-    witness is rebuilt from V by taking the smallest-id v that attains
-    TW(S) at each step.  This is the table fill the pruned solver must
-    reproduce exactly, witness included.
+    is eliminated), filled in ascending mask order.
     """
-    n = g.n
     adj = g.adj_bits
-    full = (1 << n) - 1
-
-    def fill_degree(done, v, outside):
-        comp = _bit_reach(adj, v, done | (1 << v))
-        nb = 0
-        for u in range(n):
-            if comp >> u & 1:
-                nb |= adj[u]
-        return (nb & outside).bit_count()
-
+    full = (1 << g.n) - 1
     tw = [0] * (full + 1)
     for s_mask in range(1, full + 1):
         outside = full & ~s_mask
         tw[s_mask] = min(
-            max(tw[s_mask ^ (1 << v)], fill_degree(s_mask ^ (1 << v), v, outside))
-            for v in range(n) if s_mask >> v & 1
+            max(tw[s_mask ^ (1 << v)], _oracle_fill_degree(adj, s_mask ^ (1 << v), v, outside))
+            for v in range(g.n) if s_mask >> v & 1
         )
+    return tw
+
+
+def oracle_treewidth_dp(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Treewidth and witness from the unpruned table.
+
+    The witness is rebuilt from V by taking the smallest-id v that attains
+    TW(S) at each step.  This is the table fill the pruned solver must
+    reproduce exactly, witness included.
+    """
+    tw = oracle_treewidth_table(g)
+    full = (1 << g.n) - 1
     order = []
     s_mask = full
     while s_mask:
         outside = full & ~s_mask
         v = next(
-            v for v in range(n) if s_mask >> v & 1
-            and max(tw[s_mask ^ (1 << v)], fill_degree(s_mask ^ (1 << v), v, outside)) == tw[s_mask]
+            v for v in range(g.n) if s_mask >> v & 1
+            and max(tw[s_mask ^ (1 << v)],
+                    _oracle_fill_degree(g.adj_bits, s_mask ^ (1 << v), v, outside)) == tw[s_mask]
         )
         order.append(v)
         s_mask ^= 1 << v
     return tw[full], tuple(reversed(order))
 
 
-def oracle_pathwidth_dp(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Unpruned vertex-separation DP over all 2^n subsets, with witness.
+def _oracle_boundary(adj, s_mask):
+    return sum(1 for u in range(len(adj)) if s_mask >> u & 1 and adj[u] & ~s_mask)
 
-    PW(S) = max(boundary of S, min over v in S of PW(S - v)); the witness
-    is rebuilt from V by taking the smallest-id v that attains PW(S).
+
+def oracle_pathwidth_table(g: Graph) -> list[int]:
+    """Unpruned vertex-separation DP: PW(S) for all 2^n subsets S.
+
+    PW(S) = max(boundary of S, min over v in S of PW(S - v)).
     """
-    n = g.n
-    adj = g.adj_bits
-    full = (1 << n) - 1
-
-    def boundary(s_mask):
-        return sum(1 for u in range(n) if s_mask >> u & 1 and adj[u] & ~s_mask)
-
+    full = (1 << g.n) - 1
     pw = [0] * (full + 1)
     for s_mask in range(1, full + 1):
-        best = min(pw[s_mask ^ (1 << v)] for v in range(n) if s_mask >> v & 1)
-        pw[s_mask] = max(boundary(s_mask), best)
+        best = min(pw[s_mask ^ (1 << v)] for v in range(g.n) if s_mask >> v & 1)
+        pw[s_mask] = max(_oracle_boundary(g.adj_bits, s_mask), best)
+    return pw
+
+
+def oracle_pathwidth_dp(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Pathwidth and witness from the unpruned table: the smallest-id v
+    that attains PW(S), at each step back from V."""
+    pw = oracle_pathwidth_table(g)
     order = []
-    s_mask = full
+    s_mask = (1 << g.n) - 1
     while s_mask:
-        b = boundary(s_mask)
+        b = _oracle_boundary(g.adj_bits, s_mask)
         v = next(
-            v for v in range(n)
+            v for v in range(g.n)
             if s_mask >> v & 1 and max(b, pw[s_mask ^ (1 << v)]) == pw[s_mask]
         )
         order.append(v)
         s_mask ^= 1 << v
-    return pw[full], tuple(reversed(order))
+    return pw[-1], tuple(reversed(order))
 
 
 def oracle_bandwidth(g: Graph) -> tuple[int, tuple[int, ...]]:

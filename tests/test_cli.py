@@ -8,8 +8,8 @@ from widthlab.audit import AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX
 from widthlab.cli import main
 from widthlab.closed_forms import TABLE_ENTRIES_MAX, TABLE_K_MAX, TABLE_N_MAX, TABLE_R_MAX
 from widthlab.graph import GENERATOR_CAP
-from widthlab.separators import MIN_SEPARATOR_CAP
-from widthlab.solvers import PARAMS
+from widthlab.separators import MIN_SEPARATOR_CAP, SEPARATOR_TABLE_MAX_N
+from widthlab.solvers import PARAMS, PW_TABLE_MAX_N, TW_TABLE_MAX_N
 
 
 def run(capsys, *argv):
@@ -101,6 +101,20 @@ def test_compute_cap_exit4(capsys, tmp_path):
     f = write_graph(tmp_path, big)
     code, _, _ = run(capsys, "compute", "--input", f, "--params", "r")
     assert code == 4
+
+
+@pytest.mark.parametrize("param", ["tw", "pw", "s"])
+def test_compute_refuses_oversized_subset_table_exit4(capsys, tmp_path, param):
+    # --cap-n admits the 70-vertex path, but its 2^70-set table is refused
+    # up front: exit 4 with one error line, not an OverflowError traceback.
+    path70 = "70 69\n" + "".join(f"{i} {i + 1}\n" for i in range(69))
+    f = write_graph(tmp_path, path70)
+    code, out, err = run(capsys, "compute", "--input", f, "--params", param, "--cap-n", "70")
+    assert code == 4
+    assert out == "" and "Traceback" not in err
+    lines = [line for line in err.splitlines() if not line.startswith("warning: cap raised")]
+    assert len(lines) == 1 and lines[0].startswith("error: size limit: ")
+    assert "no cap raises this" in lines[0]
 
 
 def test_compute_unknown_param_exit2(capsys, tmp_path):
@@ -401,3 +415,20 @@ def test_readme_caps_match_registry():
     assert table[3].startswith(f"{TABLE_ENTRIES_MAX} ")
     audit = bounds["`audit`"]
     assert [int(x) for x in audit[:3]] == [AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX]
+
+
+def test_readme_table_ceilings_match_solvers():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Size caps"):readme.index("## Determinism")]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|") and not line.startswith("|--")
+    ]
+    ceilings = {
+        name: int(row[1])
+        for row in rows if len(row) == 3 and row[1].isdigit()
+        for name in re.findall(r"`(\w+)`", row[0])
+    }
+    assert ceilings == {"tw": TW_TABLE_MAX_N, "pw": PW_TABLE_MAX_N,
+                        "s": SEPARATOR_TABLE_MAX_N, "s_strict": SEPARATOR_TABLE_MAX_N}

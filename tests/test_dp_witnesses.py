@@ -12,13 +12,28 @@ from widthlab import (
     Graph,
     complete,
     hypercube,
+    path,
     pathwidth,
     random_graph,
     random_tree,
+    star,
     treewidth,
 )
+from widthlab.solvers import (
+    _min_boundary_layout,
+    _min_fill_order,
+    _pathwidth_table,
+    _treewidth_table,
+    eliminate_and_measure,
+    separation_profile,
+)
 
-from .conftest import oracle_pathwidth_dp, oracle_treewidth_dp
+from .conftest import (
+    oracle_pathwidth_dp,
+    oracle_pathwidth_table,
+    oracle_treewidth_dp,
+    oracle_treewidth_table,
+)
 
 DENSITY_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -85,3 +100,42 @@ def test_pinned_witnesses_at_n16(name):
     g, tw, pw = PINNED[name]
     assert treewidth(g) == tw
     assert pathwidth(g) == pw
+
+
+# --- the pruned tables and their greedy bounds ------------------------------------
+
+TABLE_GRAPHS = [random_graph(n, p, 2400 + n) for n in (4, 7, 9) for p in DENSITY_LADDER[::2]]
+TABLE_GRAPHS += [random_tree(9, 2500), hypercube(3), Graph(5), Graph(0)]
+
+
+@pytest.mark.parametrize("i", range(len(TABLE_GRAPHS)))
+def test_pruned_tables_are_exact_up_to_the_bound(i):
+    # For every bound, a set whose value is at most the bound holds that
+    # value and every other set holds bound + 1, so the tables differ from
+    # the unpruned ones only where reconstruction never looks.
+    g = TABLE_GRAPHS[i]
+    full_tw, full_pw = oracle_treewidth_table(g), oracle_pathwidth_table(g)
+    for ub in range(g.n + 1):
+        assert list(_treewidth_table(g, ub)) == [min(v, ub + 1) for v in full_tw]
+        assert list(_pathwidth_table(g, ub)) == [min(v, ub + 1) for v in full_pw]
+
+
+@pytest.mark.parametrize("p", DENSITY_LADDER)
+def test_greedy_bounds_are_at_least_exact(p):
+    for n in range(1, 13):
+        g = random_graph(n, p, 2600 + n)
+        assert eliminate_and_measure(g, _min_fill_order(g)) >= treewidth(g)[0]
+        assert separation_profile(g, _min_boundary_layout(g)) >= pathwidth(g)[0]
+
+
+def test_greedy_orders_break_ties_by_smallest_id():
+    assert _min_fill_order(path(5)) == (0, 1, 2, 3, 4)
+    assert _min_fill_order(Graph(3)) == (0, 1, 2)
+    # Leaves of a star have fill 0 and degree 1, so they go first until the
+    # centre ties with the last leaf and wins by its smaller id.
+    assert _min_fill_order(star(4)) == (1, 2, 3, 0, 4)
+    assert _min_boundary_layout(path(5)) == (0, 1, 2, 3, 4)
+    # The centre and a leaf both leave a boundary of 1; the centre has id 0.
+    assert _min_boundary_layout(star(4)) == (0, 1, 2, 3, 4)
+    # After 0, 1, 2, adding 4 leaves boundary {4} and adding 3 leaves {2, 3}.
+    assert _min_boundary_layout(Graph(5, [(3, 4), (2, 4)])) == (0, 1, 2, 4, 3)

@@ -24,6 +24,7 @@ from widthlab import (
     treewidth,
 )
 from widthlab.graph import maximal_cliques_chordal
+from widthlab.separators import SEPARATOR_TABLE_MAX_N, SUBSET_TABLE_BUDGET
 
 from .conftest import oracle_min_balanced_separator, oracle_separator_number
 
@@ -216,3 +217,12 @@ def test_min_separator_can_exceed_treewidth():
     assert size == oracle_min_balanced_separator(q3) == 4
     assert treewidth(q3)[0] == 3
     assert separator_number(q3) == 4
+
+
+def test_separator_table_refused_above_its_ceiling():
+    # Refused before the 2^n table is allocated, whatever the cap.
+    for strict in (False, True):
+        with pytest.raises(SizeLimitExceeded, match="no cap raises"):
+            separator_number(path(SEPARATOR_TABLE_MAX_N + 1), strict=strict, cap=100)
+    # One table byte and one _BalanceCache entry: about 82 bytes per subset.
+    assert 82 << SEPARATOR_TABLE_MAX_N <= SUBSET_TABLE_BUDGET < 82 << (SEPARATOR_TABLE_MAX_N + 1)

@@ -27,7 +27,14 @@ from widthlab import (
     treewidth,
     verify_chain,
 )
-from widthlab.solvers import PARAMS, eliminate_and_measure, separation_profile
+from widthlab.separators import SUBSET_TABLE_BUDGET
+from widthlab.solvers import (
+    PARAMS,
+    PW_TABLE_MAX_N,
+    TW_TABLE_MAX_N,
+    eliminate_and_measure,
+    separation_profile,
+)
 
 from .conftest import (
     oracle_bandwidth,
@@ -186,6 +193,15 @@ def test_pathwidth_matches_bruteforce(seed):
     value, order = pathwidth(g)
     assert value == oracle_pathwidth(g)
     assert separation_profile(g, order) == value
+
+
+@pytest.mark.parametrize("solve, ceiling", [(treewidth, TW_TABLE_MAX_N), (pathwidth, PW_TABLE_MAX_N)])
+def test_width_tables_refused_above_their_ceiling(solve, ceiling):
+    # Refused before the 2^n table is allocated, whatever the cap; the
+    # table takes one byte per subset.
+    with pytest.raises(SizeLimitExceeded, match="no cap raises"):
+        solve(path(ceiling + 1), cap=100)
+    assert 1 << ceiling <= SUBSET_TABLE_BUDGET < 1 << (ceiling + 1)
 
 
 def test_tw_le_pw():
