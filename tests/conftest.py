@@ -53,6 +53,40 @@ def oracle_min_balanced_separator(g: Graph, strict=False) -> int:
     raise AssertionError("unreachable: removing everything always balances")
 
 
+def _mask_order(universe, size):
+    """The size-`size` subsets of `universe` in ascending bitmask order.
+
+    Within one size this is colex order, not the order `combinations`
+    yields, so the tuples are sorted by their bitmask.
+    """
+    return sorted(combinations(universe, size), key=lambda xs: sum(1 << v for v in xs))
+
+
+def oracle_min_balanced_separator_witness(g: Graph, universe=None, strict=False):
+    """(size, x) of the first balanced separator of G[universe] in the
+    documented order: size-ascending, then mask-ascending."""
+    adj = _adj_sets(g)
+    universe = sorted(range(g.n) if universe is None else universe)
+    for size in range(len(universe) + 1):
+        for x in _mask_order(universe, size):
+            if _balanced(adj, universe, x, strict):
+                return size, x
+    raise AssertionError("unreachable: removing everything always balances")
+
+
+def oracle_separator_number_with_witness(g: Graph, strict=False):
+    """(value, q, x): the first Q of largest minimum-separator size, with Q
+    in decreasing size and then ascending mask, and X its first-hit
+    minimum separator."""
+    best = None
+    for size in range(g.n, -1, -1):
+        for q in _mask_order(range(g.n), size):
+            need, x = oracle_min_balanced_separator_witness(g, q, strict)
+            if best is None or need > best[0]:
+                best = (need, list(q), list(x))
+    return best
+
+
 def oracle_separator_number(g: Graph, strict=False) -> int:
     adj = _adj_sets(g)
     worst = 0

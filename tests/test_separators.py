@@ -20,13 +20,19 @@ from widthlab import (
     random_graph,
     separator_number,
     separator_number_with_witness,
+    separator_ranking,
     star,
     treewidth,
 )
 from widthlab.graph import maximal_cliques_chordal
 from widthlab.separators import SEPARATOR_TABLE_MAX_N, SUBSET_TABLE_BUDGET
 
-from .conftest import oracle_min_balanced_separator, oracle_separator_number
+from .conftest import (
+    oracle_min_balanced_separator,
+    oracle_min_balanced_separator_witness,
+    oracle_separator_number,
+    oracle_separator_number_with_witness,
+)
 
 
 def test_check_separator_hand_traces():
@@ -226,3 +232,44 @@ def test_separator_table_refused_above_its_ceiling():
             separator_number(path(SEPARATOR_TABLE_MAX_N + 1), strict=strict, cap=100)
     # One table byte and one _BalanceCache entry: about 82 bytes per subset.
     assert 82 << SEPARATOR_TABLE_MAX_N <= SUBSET_TABLE_BUDGET < 82 << (SEPARATOR_TABLE_MAX_N + 1)
+
+
+# --- witnesses pinned to the documented first-hit order ---------------------------
+
+DENSITY_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+WITNESS_GRAPHS = [random_graph(n, p, 2700 + n) for p in DENSITY_LADDER for n in range(1, 9)]
+WITNESS_GRAPHS += [Graph(0), hypercube(3), star(6), path(8), complete(6)]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_separator_witnesses_are_first_hits(strict):
+    for g in WITNESS_GRAPHS:
+        assert min_balanced_separator(g, strict=strict) == oracle_min_balanced_separator_witness(
+            g, strict=strict
+        )
+        value, wit = separator_number_with_witness(g, strict=strict)
+        assert (value, wit["q"], wit["x"]) == oracle_separator_number_with_witness(g, strict)
+
+
+# Witnesses recorded before the balance test was rewritten; both graphs are
+# benchmark inputs.
+PINNED_RANKING_LEVELS = {
+    6: [7, 13, 6, 7, 5, 12, 4, 3, 7, 11, 10, 9, 6, 5, 4, 3, 7, 2, 2, 8],
+    8: [14, 13, 6, 6, 5, 12, 4, 3, 11, 10, 9, 8, 6, 5, 4, 3, 6, 2, 2, 7],
+}
+
+
+def test_pinned_separator_witnesses():
+    g = random_graph(12, 0.3, 7)
+    assert separator_number_with_witness(g) == (
+        3, {"q": [0, 1, 2, 3, 4, 5, 6, 8, 9, 11], "x": [0, 2, 4]}
+    )
+    assert separator_number_with_witness(g, strict=True) == (
+        3, {"q": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11], "x": [0, 2, 4]}
+    )
+    g = random_graph(20, 0.3, 7)
+    for strict in (False, True):
+        assert min_balanced_separator(g, strict=strict) == (6, (1, 5, 9, 10, 11, 19))
+    for k, levels in PINNED_RANKING_LEVELS.items():
+        ranking = separator_ranking(g, k)
+        assert [ranking.level[v] for v in range(g.n)] == levels
