@@ -24,16 +24,24 @@ from .errors import (
     NotChordal,
     SizeLimitExceeded,
 )
-from .graph import Graph, bits_of, component_masks, is_chordal, mask_of, maximal_cliques_chordal
+from .graph import (
+    Graph,
+    bits_of,
+    component_masks,
+    is_chordal,
+    mask_of,
+    maximal_cliques_chordal,
+    reach_mask,
+)
 
 SEPARATOR_NUMBER_CAP = 12
 MIN_SEPARATOR_CAP = 20
 CLIQUE_SUBSET_CAP = 1 << 20
-# Memory one 2^n subset table may take.  No cap raises the n ceilings
-# derived from it; a separator table costs about 82 bytes per subset (one
-# table byte and a _BalanceCache entry, measured), so 2^21 sets take 164 MiB.
+# Memory the 2^n subset tables of one solver may take.  No cap raises the
+# n ceilings derived from it; the separator tables take two bytes per
+# subset (f and the largest-component table), so 2^27 sets fill it.
 SUBSET_TABLE_BUDGET = 256 << 20
-SEPARATOR_TABLE_MAX_N = 21
+SEPARATOR_TABLE_MAX_N = 27
 
 
 def check_table_size(what: str, n: int, max_n: int) -> None:
@@ -65,11 +73,22 @@ class SeparatorCertificate:
         }
 
 
-def _survivor_balanced(sizes: list[int], survivors: int, strict: bool) -> bool:
-    biggest = max(sizes, default=0)
-    if strict:
-        return 2 * biggest <= survivors
-    return biggest <= (survivors + 1) // 2
+def _limit(survivors: int, strict: bool) -> int:
+    """Largest component a balanced set of `survivors` vertices may keep."""
+    return survivors // 2 if strict else (survivors + 1) // 2
+
+
+def _balanced(g: Graph, survivors: int, strict: bool) -> bool:
+    """Is every component of G[survivors] within `_limit`?  Stops at the
+    first component above it, or once too few survivors are left for one."""
+    limit = _limit(survivors.bit_count(), strict)
+    rest = survivors
+    while rest.bit_count() > limit:
+        comp = reach_mask(g, (rest & -rest).bit_length() - 1, rest)
+        if comp.bit_count() > limit:
+            return False
+        rest ^= comp
+    return True
 
 
 def check_separator(g: Graph, x: Iterable[int]) -> SeparatorCertificate:
@@ -81,11 +100,12 @@ def check_separator(g: Graph, x: Iterable[int]) -> SeparatorCertificate:
     survivors_mask = g.full_mask & ~x_mask
     sizes = sorted((c.bit_count() for c in component_masks(g, survivors_mask)), reverse=True)
     survivors = survivors_mask.bit_count()
+    biggest = sizes[0] if sizes else 0
     return SeparatorCertificate(
         x=bits_of(x_mask),
         component_sizes=tuple(sizes),
-        balanced=_survivor_balanced(sizes, survivors, strict=False),
-        strictly_balanced=_survivor_balanced(sizes, survivors, strict=True),
+        balanced=biggest <= _limit(survivors, strict=False),
+        strictly_balanced=biggest <= _limit(survivors, strict=True),
         ceil_threshold=(survivors + 1) // 2,
         strict_threshold=survivors / 2,
     )
@@ -122,40 +142,18 @@ def _spread(compact: int, positions: tuple[int, ...]) -> int:
     return out
 
 
-class _BalanceCache:
-    """Per-call cache of survivor-set balance verdicts."""
-
-    def __init__(self, g: Graph, strict: bool):
-        self.g = g
-        self.strict = strict
-        self._cache: dict[int, bool] = {}
-
-    def balanced(self, survivors_mask: int) -> bool:
-        hit = self._cache.get(survivors_mask)
-        if hit is not None:
-            return hit
-        sizes = [c.bit_count() for c in component_masks(self.g, survivors_mask)]
-        ok = _survivor_balanced(sizes, survivors_mask.bit_count(), self.strict)
-        self._cache[survivors_mask] = ok
-        return ok
-
-
-def min_balanced_separator_mask(
-    g: Graph, universe: int, strict: bool, cache: _BalanceCache | None = None
-) -> tuple[int, int]:
+def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[int, int]:
     """Minimum balanced separator of g restricted to `universe`.
 
     Returns (size, x_mask); the witness is the first hit in the
     size-ascending, mask-ascending enumeration.
     """
-    if cache is None:
-        cache = _BalanceCache(g, strict)
     positions = bits_of(universe)
     nq = len(positions)
     for size in range(nq + 1):
         for compact in _gosper(nq, size):
             x_mask = _spread(compact, positions)
-            if cache.balanced(universe & ~x_mask):
+            if _balanced(g, universe & ~x_mask, strict):
                 return size, x_mask
     raise AssertionError("X = universe always balances; unreachable")
 
@@ -211,14 +209,20 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> bytearray:
 
     f satisfies f[S] = |S| if S itself is balanced, else max over
     one-vertex removals; minimum-separator size of G[Q] is |Q| - f[Q].
+    S is balanced iff its largest component lc[S] is within the limit.
+    With C the component of the lowest vertex of S, lc[S] = max(|C|,
+    lc[S - C]), and S - C < S is already filled.
     """
     n = g.n
     check_table_size("separator_number", n, SEPARATOR_TABLE_MAX_N)
-    cache = _BalanceCache(g, strict)
     f = bytearray(1 << n)
+    lc = bytearray(1 << n)
     for s_mask in range(1, 1 << n):
-        if cache.balanced(s_mask):
-            f[s_mask] = s_mask.bit_count()
+        comp = reach_mask(g, (s_mask & -s_mask).bit_length() - 1, s_mask)
+        lc[s_mask] = max(comp.bit_count(), lc[s_mask ^ comp])
+        size = s_mask.bit_count()
+        if lc[s_mask] <= _limit(size, strict):
+            f[s_mask] = size
             continue
         best = 0
         rest = s_mask
@@ -310,10 +314,10 @@ def chordal_clique_separator(g: Graph, cap: int = MIN_SEPARATOR_CAP) -> tuple[tu
     best_c = None
     for c_mask in sorted(cliques):
         survivors = g.full_mask & ~c_mask
-        sizes = [c.bit_count() for c in component_masks(g, survivors)]
-        if not _survivor_balanced(sizes, survivors.bit_count(), strict=False):
+        biggest = max((c.bit_count() for c in component_masks(g, survivors)), default=0)
+        if biggest > _limit(survivors.bit_count(), strict=False):
             continue
-        key = (max(sizes, default=0), c_mask.bit_count(), c_mask)
+        key = (biggest, c_mask.bit_count(), c_mask)
         if best_key is None or key < best_key:
             best_key = key
             best_c = c_mask

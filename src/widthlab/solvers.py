@@ -15,14 +15,14 @@ treewidth = pathwidth = bandwidth = 0; a single vertex has cycle rank 1
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
 from .errors import DomainError, InvalidSeparator, InvariantViolation, SizeLimitExceeded
-from .graph import Graph, bits_of, component_masks, reach_mask
+from .graph import Graph, bits_of, component_masks
 from .separators import (
     SEPARATOR_NUMBER_CAP,
-    _BalanceCache,
+    _balanced,
     _pad_once_mask,
     check_table_size,
     min_balanced_separator_mask,
@@ -175,7 +175,6 @@ def separator_ranking(g: Graph, k: int, cap: int = RANK_CAP_DEEP) -> Ranking:
     if g.n == 0:
         return Ranking({})
     budget = R_rec(k, g.n)
-    cache = _BalanceCache(g, strict=False)
     levels: dict[int, int] = {}
 
     def assign_block(mask: int, top: int) -> None:
@@ -189,14 +188,14 @@ def separator_ranking(g: Graph, k: int, cap: int = RANK_CAP_DEEP) -> Ranking:
         if nq <= k:
             assign_block(mask, top)
             return
-        size, x_mask = min_balanced_separator_mask(g, mask, strict=False, cache=cache)
+        size, x_mask = min_balanced_separator_mask(g, mask, strict=False)
         if size > k:
             raise InvalidSeparator(
                 f"induced subgraph {bits_of(mask)} needs a separator of size {size} > k = {k}"
             )
         while x_mask.bit_count() < k:
             x_mask = _pad_once_mask(g, mask, x_mask)
-            if not cache.balanced(mask & ~x_mask):
+            if not _balanced(g, mask & ~x_mask, strict=False):
                 raise InvariantViolation("padded separator lost balance")
         assign_block(x_mask, top)
         for comp in component_masks(g, mask & ~x_mask):
@@ -216,20 +215,6 @@ def separator_ranking(g: Graph, k: int, cap: int = RANK_CAP_DEEP) -> Ranking:
 
 # ---------------------------------------------------------------------------
 # Treewidth (elimination-ordering subset DP)
-
-
-def _fill_degree(g: Graph, done: int, v: int, outside: int) -> int:
-    """Neighbors of v in `outside`, directly or through eliminated `done`."""
-    if g.adj_bits[v] & done == 0:
-        return (g.adj_bits[v] & outside).bit_count()
-    comp = reach_mask(g, v, done | (1 << v))
-    nb = 0
-    rest = comp
-    while rest:
-        low = rest & -rest
-        nb |= g.adj_bits[low.bit_length() - 1]
-        rest ^= low
-    return (nb & outside).bit_count()
 
 
 def _min_fill_order(g: Graph) -> tuple[int, ...]:
@@ -253,9 +238,42 @@ def _min_fill_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _fill_degrees(adj: tuple[int, ...], done: int, full: int) -> Iterator[tuple[int, int]]:
+    """(bit of v, fill degree of v) for each v outside `done`, once `done` is
+    eliminated: v's neighbours outside `done`, directly or through the
+    components of `done` it touches, each found once with its outside
+    neighbourhood."""
+    outside = full ^ done
+    comps = []
+    rest = done
+    while rest:
+        comp = frontier = rest & -rest
+        reach = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            reach |= nxt
+            frontier = nxt & done & ~comp
+            comp |= frontier
+        comps.append((comp, reach & outside))
+        rest &= ~comp
+    rest = outside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nb = adj[low.bit_length() - 1]
+        if nb & done:
+            for comp, comp_nb in comps:
+                if nb & comp:
+                    nb |= comp_nb
+        yield low, (nb & outside & ~low).bit_count()
+
+
 def _treewidth_table(g: Graph, ub: int) -> bytearray:
     """TW(S) for every S whose value is at most `ub`; every other S holds ub + 1."""
-    adj = g.adj_bits
     full = g.full_mask
     tw = bytearray([ub + 1]) * (full + 1)
     tw[0] = 0
@@ -263,34 +281,7 @@ def _treewidth_table(g: Graph, ub: int) -> bytearray:
         val = tw[done]
         if val > ub:
             continue
-        outside = full ^ done
-        # The components of `done`, each with its neighbourhood outside `done`.
-        comps = []
-        rest = done
-        while rest:
-            comp = frontier = rest & -rest
-            reach = 0
-            while frontier:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nxt |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                reach |= nxt
-                frontier = nxt & done & ~comp
-                comp |= frontier
-            comps.append((comp, reach & outside))
-            rest &= ~comp
-        rest = outside
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nb = adj[low.bit_length() - 1]
-            if nb & done:
-                for comp, comp_nb in comps:
-                    if nb & comp:
-                        nb |= comp_nb
-            d = (nb & outside & ~low).bit_count()
+        for low, d in _fill_degrees(g.adj_bits, done, full):
             if d < val:
                 d = val
             if d < tw[done | low]:
@@ -338,7 +329,7 @@ def treewidth(g: Graph, cap: int = TW_CAP) -> tuple[int, tuple[int, ...]]:
             low = rest & -rest
             rest ^= low
             done = s_mask ^ low
-            d = _fill_degree(g, done, low.bit_length() - 1, full & ~s_mask)
+            d = dict(_fill_degrees(g.adj_bits, done, full))[low]
             if max(tw[done], d) == tw[s_mask]:
                 order.append(low.bit_length() - 1)
                 s_mask = done

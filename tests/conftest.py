@@ -87,6 +87,27 @@ def oracle_separator_number_with_witness(g: Graph, strict=False):
     return best
 
 
+def oracle_max_balanced_subset_table(g: Graph, strict=False) -> list[int]:
+    """For every S, the size of the largest balanced subset of S, found by
+    scanning every subset of S."""
+    adj = _adj_sets(g)
+    ok = [
+        _balanced(adj, [v for v in range(g.n) if t >> v & 1], (), strict)
+        for t in range(1 << g.n)
+    ]
+    table = []
+    for s_mask in range(1 << g.n):
+        best, t = 0, s_mask
+        while True:
+            if ok[t]:
+                best = max(best, t.bit_count())
+            if t == 0:
+                break
+            t = (t - 1) & s_mask
+        table.append(best)
+    return table
+
+
 def oracle_separator_number(g: Graph, strict=False) -> int:
     adj = _adj_sets(g)
     worst = 0

@@ -24,10 +24,18 @@ from widthlab import (
     star,
     treewidth,
 )
-from widthlab.graph import maximal_cliques_chordal
-from widthlab.separators import SEPARATOR_TABLE_MAX_N, SUBSET_TABLE_BUDGET
+from widthlab.graph import bits_of, maximal_cliques_chordal
+from widthlab.separators import (
+    SEPARATOR_TABLE_MAX_N,
+    SUBSET_TABLE_BUDGET,
+    _balanced,
+    _max_balanced_subset_table,
+)
 
+from .conftest import _adj_sets
+from .conftest import _balanced as oracle_balanced
 from .conftest import (
+    oracle_max_balanced_subset_table,
     oracle_min_balanced_separator,
     oracle_min_balanced_separator_witness,
     oracle_separator_number,
@@ -230,13 +238,40 @@ def test_separator_table_refused_above_its_ceiling():
     for strict in (False, True):
         with pytest.raises(SizeLimitExceeded, match="no cap raises"):
             separator_number(path(SEPARATOR_TABLE_MAX_N + 1), strict=strict, cap=100)
-    # One table byte and one _BalanceCache entry: about 82 bytes per subset.
-    assert 82 << SEPARATOR_TABLE_MAX_N <= SUBSET_TABLE_BUDGET < 82 << (SEPARATOR_TABLE_MAX_N + 1)
+    # Two one-byte tables, f and the largest-component table: 2 bytes per subset.
+    assert 2 << SEPARATOR_TABLE_MAX_N <= SUBSET_TABLE_BUDGET < 2 << (SEPARATOR_TABLE_MAX_N + 1)
+
+
+DENSITY_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+
+# --- the balance test and the subset table against the oracles --------------------
+
+BALANCE_GRAPHS = [random_graph(n, p, 2800 + n) for n in (5, 7, 9) for p in DENSITY_LADDER[::2]]
+BALANCE_GRAPHS += [
+    Graph(0),
+    Graph(1),
+    Graph(8),
+    Graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]),
+    star(8),
+    hypercube(3),
+]
+
+
+@pytest.mark.parametrize("i", range(len(BALANCE_GRAPHS)))
+def test_balance_kernel_matches_oracle(i):
+    g = BALANCE_GRAPHS[i]
+    adj = _adj_sets(g)
+    for strict in (False, True):
+        for s_mask in range(1 << g.n):
+            assert _balanced(g, s_mask, strict) == oracle_balanced(adj, bits_of(s_mask), (), strict)
+        assert list(_max_balanced_subset_table(g, strict)) == oracle_max_balanced_subset_table(
+            g, strict
+        )
 
 
 # --- witnesses pinned to the documented first-hit order ---------------------------
 
-DENSITY_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 WITNESS_GRAPHS = [random_graph(n, p, 2700 + n) for p in DENSITY_LADDER for n in range(1, 9)]
 WITNESS_GRAPHS += [Graph(0), hypercube(3), star(6), path(8), complete(6)]
 
