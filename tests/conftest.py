@@ -286,6 +286,51 @@ def oracle_cycle_rank(g: Graph) -> int:
     raise AssertionError("distinct levels are always valid; unreachable")
 
 
+def oracle_cycle_rank_dp(g: Graph) -> tuple[int, dict[int, int]]:
+    """Cycle rank and levels from a dict memo over connected subsets.
+
+    r(S) = max over the components of S; for connected S with two or more
+    vertices, r(S) = 1 + min over v in S of r(S - v), every v scanned.
+    The levels are rebuilt from V: each component, in order of its
+    smallest member, takes at the current budget the smallest-id v with
+    r(C - v) = r(C) - 1.  This is the witness the solver must reproduce.
+    """
+    adj = g.adj_bits
+    memo: dict[int, int] = {}
+
+    def components(mask):
+        comps = []
+        while mask:
+            comp = _bit_reach(adj, (mask & -mask).bit_length() - 1, mask)
+            comps.append(comp)
+            mask ^= comp
+        return comps
+
+    def rank_any(mask):
+        return max((rank_conn(c) for c in components(mask)), default=0)
+
+    def rank_conn(mask):
+        if mask & (mask - 1) == 0:
+            return 1
+        if mask not in memo:
+            memo[mask] = 1 + min(rank_any(mask ^ (1 << v)) for v in range(g.n) if mask >> v & 1)
+        return memo[mask]
+
+    levels: dict[int, int] = {}
+
+    def build(mask, budget):
+        for comp in components(mask):
+            target = rank_conn(comp) - 1
+            v = next(v for v in range(g.n) if comp >> v & 1 and rank_any(comp ^ (1 << v)) == target)
+            levels[v] = budget
+            build(comp ^ (1 << v), budget - 1)
+
+    full = (1 << g.n) - 1
+    value = rank_any(full)
+    build(full, value)
+    return value, levels
+
+
 def oracle_is_chordal(g: Graph) -> bool:
     adj = _adj_sets(g)
     for size in range(4, g.n + 1):

@@ -1,16 +1,19 @@
-"""Treewidth and pathwidth witnesses are pinned to the unpruned DPs.
+"""Treewidth, pathwidth and cycle-rank witnesses are pinned to plain DPs.
 
 The solvers return the (value, order) that the full 2^n-state table fill
 of `tests/conftest.py` reconstructs: the smallest-id vertex that attains
 the table value at every step.  Any pruning of the table fill must keep
-these witnesses exactly.
+these witnesses exactly.  Cycle rank likewise returns the (value, levels)
+of the dict-memo recursion with a full min scan, `oracle_cycle_rank_dp`.
 """
 
 import pytest
 
 from widthlab import (
     Graph,
+    Ranking,
     complete,
+    cycle_rank,
     hypercube,
     path,
     pathwidth,
@@ -29,6 +32,7 @@ from widthlab.solvers import (
 )
 
 from .conftest import (
+    oracle_cycle_rank_dp,
     oracle_pathwidth_dp,
     oracle_pathwidth_table,
     oracle_treewidth_dp,
@@ -139,3 +143,63 @@ def test_greedy_orders_break_ties_by_smallest_id():
     assert _min_boundary_layout(star(4)) == (0, 1, 2, 3, 4)
     # After 0, 1, 2, adding 4 leaves boundary {4} and adding 3 leaves {2, 3}.
     assert _min_boundary_layout(Graph(5, [(3, 4), (2, 4)])) == (0, 1, 2, 4, 3)
+
+
+# --- cycle rank ------------------------------------------------------------------
+
+
+def _assert_rank_matches_oracle(g):
+    value, ranking = cycle_rank(g)
+    assert (value, ranking.level) == oracle_cycle_rank_dp(g)
+
+
+@pytest.mark.parametrize("p", DENSITY_LADDER)
+def test_cycle_rank_density_ladder_matches_dict_memo(p):
+    for n in range(1, 11):
+        _assert_rank_matches_oracle(random_graph(n, p, 2700 + n))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cycle_rank_random_trees_match_dict_memo(seed):
+    for n in (2, 5, 9, 12, 16):
+        _assert_rank_matches_oracle(random_tree(n, 2800 + 10 * seed + n))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(0),
+        Graph(1),
+        Graph(7),
+        star(9),
+        path(16),
+        _union(complete(4), random_tree(5, 3)),
+        _union(random_graph(5, 0.6, 2300), Graph(2), random_graph(4, 0.5, 2301)),
+        hypercube(3),
+        hypercube(4),
+        complete(6),
+    ],
+    ids=["n0", "n1", "edgeless7", "star9", "P16", "K4+tree", "random+isolated+random",
+         "Q3", "Q4", "K6"],
+)
+def test_cycle_rank_special_graphs_match_dict_memo(g):
+    _assert_rank_matches_oracle(g)
+
+
+# (value, levels) recorded from the dict-memo solver; both graphs are benchmark inputs.
+PINNED_RANK = {
+    "random(16,0.3,7)": (
+        random_graph(16, 0.3, 7),
+        7, (7, 3, 3, 6, 1, 1, 2, 5, 1, 1, 2, 3, 2, 4, 5, 4),
+    ),
+    "Q4": (
+        hypercube(4),
+        8, (8, 1, 1, 7, 1, 6, 2, 1, 1, 2, 5, 1, 4, 1, 1, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RANK))
+def test_pinned_rank_levels_at_n16(name):
+    g, value, levels = PINNED_RANK[name]
+    assert cycle_rank(g) == (value, Ranking(dict(enumerate(levels))))
