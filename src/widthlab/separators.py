@@ -61,8 +61,6 @@ class SeparatorCertificate:
     component_sizes: tuple[int, ...]  # descending
     balanced: bool
     strictly_balanced: bool
-    ceil_threshold: int       # ceil((n - |X|)/2)
-    strict_threshold: float   # (n - |X|)/2, display only
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,8 +104,6 @@ def check_separator(g: Graph, x: Iterable[int]) -> SeparatorCertificate:
         component_sizes=tuple(sizes),
         balanced=biggest <= _limit(survivors, strict=False),
         strictly_balanced=biggest <= _limit(survivors, strict=True),
-        ceil_threshold=(survivors + 1) // 2,
-        strict_threshold=survivors / 2,
     )
 
 

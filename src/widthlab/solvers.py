@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
 from .errors import DomainError, InvalidSeparator, InvariantViolation, SizeLimitExceeded
-from .graph import Graph, bits_of, component_masks
+from .graph import Graph, bits_of, component_masks, reach_mask
 from .separators import (
     SEPARATOR_NUMBER_CAP,
     _balanced,
@@ -39,6 +39,7 @@ BW_CAP_DEEP = 16
 # table fills SUBSET_TABLE_BUDGET.
 TW_TABLE_MAX_N = 28
 PW_TABLE_MAX_N = 28
+RANK_TABLE_MAX_N = 28
 
 
 @dataclass(frozen=True)
@@ -95,37 +96,40 @@ def is_valid_ranking(g: Graph, ranking: Ranking) -> tuple[bool, tuple[int, int] 
 def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
     """Exact cycle rank with an optimal ranking witness.
 
-    Memoized recursion over vertex subsets: split into connected
-    components (max rule) before the memo lookup, otherwise try every
-    single-vertex deletion (min rule).
+    Memoized recursion over a byte table of all 2^n subsets (0 = not yet
+    known).  A disconnected set splits off the component of its lowest
+    vertex (max rule); a connected one tries single-vertex deletions (min
+    rule).  Deleting a vertex lowers cycle rank by at most one and never
+    raises it, so the children of a connected set take two adjacent
+    values, and the scan stops at the first child below the first one
+    seen.  Every table entry is exact, so reconstruction is unaffected.
     """
     if g.n > cap:
         raise SizeLimitExceeded(f"cycle_rank: n = {g.n} > cap {cap}")
+    check_table_size("cycle_rank", g.n, RANK_TABLE_MAX_N)
     if g.n == 0:
         return 0, Ranking({})
-    memo: dict[int, int] = {}
+    table = bytearray(1 << g.n)
 
     def rank_any(mask: int) -> int:
-        return max(rank_conn(c) for c in component_masks(g, mask))
-
-    def rank_conn(mask: int) -> int:
         if mask & (mask - 1) == 0:
             return 1
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        best = mask.bit_count()  # deleting everything one by one
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            val = rank_any(mask ^ low)
-            if val < best:
-                best = val
-                if best == 1:
-                    break
-        memo[mask] = best + 1
-        return best + 1
+        r = table[mask]
+        if r:
+            return r
+        comp = reach_mask(g, (mask & -mask).bit_length() - 1, mask)
+        if comp != mask:
+            r = max(rank_any(comp), rank_any(mask ^ comp))
+        else:
+            rest = mask & (mask - 1)
+            first = best = rank_any(rest)
+            while rest and best == first > 1:
+                low = rest & -rest
+                rest ^= low
+                best = min(best, rank_any(mask ^ low))
+            r = best + 1
+        table[mask] = r
+        return r
 
     value = rank_any(g.full_mask)
 
@@ -139,7 +143,7 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
         if mask & (mask - 1) == 0:
             levels[mask.bit_length() - 1] = budget
             return
-        target = rank_conn(mask) - 1
+        target = rank_any(mask) - 1
         rest = mask
         while rest:
             low = rest & -rest

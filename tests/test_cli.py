@@ -9,7 +9,7 @@ from widthlab.cli import main
 from widthlab.closed_forms import TABLE_ENTRIES_MAX, TABLE_K_MAX, TABLE_N_MAX, TABLE_R_MAX
 from widthlab.graph import GENERATOR_CAP
 from widthlab.separators import MIN_SEPARATOR_CAP, SEPARATOR_TABLE_MAX_N
-from widthlab.solvers import PARAMS, PW_TABLE_MAX_N, TW_TABLE_MAX_N
+from widthlab.solvers import PARAMS, PW_TABLE_MAX_N, RANK_TABLE_MAX_N, TW_TABLE_MAX_N
 
 
 def run(capsys, *argv):
@@ -103,7 +103,7 @@ def test_compute_cap_exit4(capsys, tmp_path):
     assert code == 4
 
 
-@pytest.mark.parametrize("param", ["tw", "pw", "s"])
+@pytest.mark.parametrize("param", ["tw", "pw", "s", "r"])
 def test_compute_refuses_oversized_subset_table_exit4(capsys, tmp_path, param):
     # --cap-n admits the 70-vertex path, but its 2^70-set table is refused
     # up front: exit 4 with one error line, not an OverflowError traceback.
@@ -430,5 +430,5 @@ def test_readme_table_ceilings_match_solvers():
         for row in rows if len(row) == 3 and row[1].isdigit()
         for name in re.findall(r"`(\w+)`", row[0])
     }
-    assert ceilings == {"tw": TW_TABLE_MAX_N, "pw": PW_TABLE_MAX_N,
+    assert ceilings == {"tw": TW_TABLE_MAX_N, "pw": PW_TABLE_MAX_N, "r": RANK_TABLE_MAX_N,
                         "s": SEPARATOR_TABLE_MAX_N, "s_strict": SEPARATOR_TABLE_MAX_N}

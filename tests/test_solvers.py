@@ -12,6 +12,7 @@ from widthlab import (
     bandwidth,
     complete,
     complete_binary_tree,
+    components,
     cycle_rank,
     hypercube,
     induced,
@@ -31,6 +32,7 @@ from widthlab.separators import SUBSET_TABLE_BUDGET
 from widthlab.solvers import (
     PARAMS,
     PW_TABLE_MAX_N,
+    RANK_TABLE_MAX_N,
     TW_TABLE_MAX_N,
     eliminate_and_measure,
     separation_profile,
@@ -44,6 +46,9 @@ from .conftest import (
     oracle_treewidth,
     oracle_valid_levels,
 )
+
+
+DENSITY_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 # --- cycle rank -----------------------------------------------------------------
@@ -95,6 +100,33 @@ def test_cycle_rank_subgraph_monotone():
     for v in range(g.n):
         sub, _ = induced(g, [u for u in range(g.n) if u != v])
         assert cycle_rank(sub)[0] <= r
+
+
+def _connected_with_deletions(graphs):
+    """Each component of each graph, with its vertex-deleted subgraphs."""
+    for g in graphs:
+        for comp in components(g):
+            c, _ = induced(g, comp)
+            yield c, [induced(c, [u for u in range(c.n) if u != v])[0] for v in range(c.n)]
+
+
+# The early exit in the cycle-rank min rule rests on this: deleting a vertex
+# of a connected graph lowers its cycle rank by at most one, never raises it.
+def test_vertex_deletion_drops_rank_by_at_most_one_oracle():
+    graphs = [random_graph(n, p, 3000 + n) for n in range(2, 7) for p in DENSITY_LADDER]
+    graphs += [random_graph(7, p, 3007) for p in (0.3, 0.4, 0.5, 0.6, 0.7)]
+    graphs += [path(7), star(6), random_tree(7, 3100), complete(5)]
+    for g, deletions in _connected_with_deletions(graphs):
+        r = oracle_cycle_rank(g)
+        assert all(oracle_cycle_rank(h) in (r - 1, r) for h in deletions)
+
+
+@pytest.mark.parametrize("p", DENSITY_LADDER)
+def test_vertex_deletion_drops_rank_by_at_most_one(p):
+    graphs = [random_graph(n, p, 3100 + 10 * n + seed) for n in range(2, 13) for seed in range(3)]
+    for g, deletions in _connected_with_deletions(graphs):
+        r = cycle_rank(g)[0]
+        assert all(cycle_rank(h)[0] in (r - 1, r) for h in deletions)
 
 
 # --- ranking validity ----------------------------------------------------------
@@ -195,7 +227,10 @@ def test_pathwidth_matches_bruteforce(seed):
     assert separation_profile(g, order) == value
 
 
-@pytest.mark.parametrize("solve, ceiling", [(treewidth, TW_TABLE_MAX_N), (pathwidth, PW_TABLE_MAX_N)])
+@pytest.mark.parametrize(
+    "solve, ceiling",
+    [(treewidth, TW_TABLE_MAX_N), (pathwidth, PW_TABLE_MAX_N), (cycle_rank, RANK_TABLE_MAX_N)],
+)
 def test_width_tables_refused_above_their_ceiling(solve, ceiling):
     # Refused before the 2^n table is allocated, whatever the cap; the
     # table takes one byte per subset.
