@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -24,12 +25,13 @@ from widthlab import (
     star,
     treewidth,
 )
-from widthlab.graph import bits_of, maximal_cliques_chordal
+from widthlab.graph import bits_of, component_masks, maximal_cliques_chordal
 from widthlab.separators import (
     SEPARATOR_TABLE_MAX_N,
     SUBSET_TABLE_BUDGET,
     _balanced,
     _max_balanced_subset_table,
+    min_balanced_separator_mask,
 )
 
 from .conftest import _adj_sets
@@ -284,6 +286,23 @@ def test_separator_witnesses_are_first_hits(strict):
         )
         value, wit = separator_number_with_witness(g, strict=strict)
         assert (value, wit["q"], wit["x"]) == oracle_separator_number_with_witness(g, strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_separator_witnesses_on_proper_universes_are_first_hits(strict):
+    """The separator ranking searches inside components, not the whole
+    vertex set: check random sub-universes and the components left after
+    the first-hit separator of the full graph."""
+    rng = random.Random(2900)
+    for g in WITNESS_GRAPHS:
+        universes = [rng.getrandbits(g.n) for _ in range(4)]
+        _, x_mask = min_balanced_separator_mask(g, g.full_mask, strict)
+        universes += component_masks(g, g.full_mask & ~x_mask)
+        for universe in universes:
+            size, x_mask = min_balanced_separator_mask(g, universe, strict)
+            assert (size, bits_of(x_mask)) == oracle_min_balanced_separator_witness(
+                g, bits_of(universe), strict
+            )
 
 
 # Witnesses recorded before the balance test was rewritten; both graphs are
