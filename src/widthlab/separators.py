@@ -15,6 +15,7 @@ doubly exponential enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .errors import (
@@ -77,14 +78,24 @@ def _limit(survivors: int, strict: bool) -> int:
 
 
 def _balanced(g: Graph, survivors: int, strict: bool) -> bool:
-    """Is every component of G[survivors] within `_limit`?  Stops at the
-    first component above it, or once too few survivors are left for one."""
+    """Is every component of G[survivors] within `_limit`?  Stops as soon
+    as a growing component passes it, or once too few survivors are left
+    for one."""
     limit = _limit(survivors.bit_count(), strict)
+    adj = g.adj_bits
     rest = survivors
     while rest.bit_count() > limit:
-        comp = reach_mask(g, (rest & -rest).bit_length() - 1, rest)
-        if comp.bit_count() > limit:
-            return False
+        comp = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & (rest ^ comp)
+            comp |= frontier
+            if comp.bit_count() > limit:
+                return False
         rest ^= comp
     return True
 
@@ -112,30 +123,16 @@ def check_separator(g: Graph, x: Iterable[int]) -> SeparatorCertificate:
 # witnesses below are "first hit" under this documented order.
 
 
-def _gosper(width: int, size: int):
-    """Bitmasks of `width` bits with `size` set bits, ascending."""
-    if size == 0:
-        yield 0
-        return
-    if size > width:
-        return
-    x = (1 << size) - 1
-    limit = 1 << width
-    while x < limit:
-        yield x
-        c = x & -x
-        r = x + c
-        x = (((r ^ x) >> 2) // c) | r
+def _subsets(universe: int, size: int):
+    """Subsets of `universe` with `size` members, in ascending mask order.
 
-
-def _spread(compact: int, positions: tuple[int, ...]) -> int:
-    """Map a compact bitmask onto actual vertex positions (order-preserving)."""
-    out = 0
-    while compact:
-        low = compact & -compact
-        out |= 1 << positions[low.bit_length() - 1]
-        compact ^= low
-    return out
+    A subset ascends exactly when its complement in `universe` descends,
+    and `combinations` over the bits taken highest first deals the
+    complements in descending order.
+    """
+    high_first = [1 << v for v in reversed(bits_of(universe))]
+    for rest in combinations(high_first, len(high_first) - size):
+        yield universe ^ sum(rest)
 
 
 def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[int, int]:
@@ -144,12 +141,9 @@ def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[
     Returns (size, x_mask); the witness is the first hit in the
     size-ascending, mask-ascending enumeration.
     """
-    positions = bits_of(universe)
-    nq = len(positions)
-    for size in range(nq + 1):
-        for compact in _gosper(nq, size):
-            x_mask = _spread(compact, positions)
-            if _balanced(g, universe & ~x_mask, strict):
+    for size in range(universe.bit_count() + 1):
+        for x_mask in _subsets(universe, size):
+            if _balanced(g, universe ^ x_mask, strict):
                 return size, x_mask
     raise AssertionError("X = universe always balances; unreachable")
 
@@ -200,14 +194,16 @@ def pad_separator(g: Graph, x: Iterable[int]) -> tuple[int, ...]:
 # Balanced separator number
 
 
-def _max_balanced_subset_table(g: Graph, strict: bool) -> bytearray:
-    """f[S] = largest balanced survivor set contained in S, for every S.
+def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytearray]:
+    """(f, lc): f[S] = largest balanced survivor set contained in S, and
+    lc[S] = largest component of G[S], for every S.
 
     f satisfies f[S] = |S| if S itself is balanced, else max over
-    one-vertex removals; minimum-separator size of G[Q] is |Q| - f[Q].
-    S is balanced iff its largest component lc[S] is within the limit.
-    With C the component of the lowest vertex of S, lc[S] = max(|C|,
-    lc[S - C]), and S - C < S is already filled.
+    one-vertex removals, a scan that stops at |S| - 1, the most any
+    removal leaves; minimum-separator size of G[Q] is |Q| - f[Q].
+    S is balanced iff lc[S] is within the limit.  With C the component
+    of the lowest vertex of S, lc[S] = max(|C|, lc[S - C]), and S - C < S
+    is already filled.
     """
     n = g.n
     check_table_size("separator_number", n, SEPARATOR_TABLE_MAX_N)
@@ -227,9 +223,11 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> bytearray:
             val = f[s_mask ^ low]
             if val > best:
                 best = val
+                if best == size - 1:
+                    break
             rest ^= low
         f[s_mask] = best
-    return f
+    return f, lc
 
 
 def separator_number(g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER_CAP) -> int:
@@ -246,25 +244,27 @@ def separator_number_with_witness(
 
     The witness subgraph Q is the first maximizer in the documented
     enumeration order (decreasing |Q|, then ascending bitmask), and X is
-    the minimum-separator witness inside it.
+    the minimum-separator witness inside it: the first set of that size
+    whose survivors the largest-component table shows to be balanced.
     """
     if g.n > cap:
         raise SizeLimitExceeded(f"separator_number: n = {g.n} > cap {cap}")
     if g.n == 0:
         return 0, {"q": [], "x": []}
-    f = _max_balanced_subset_table(g, strict)
+    f, lc = _max_balanced_subset_table(g, strict)
     best = -1
     best_q = 0
     for size in range(g.n, -1, -1):
         limit = size if strict else size - 1
         if limit <= best:
             break
-        for compact in _gosper(g.n, size):
-            need = size - f[compact]
+        for q_mask in _subsets(g.full_mask, size):
+            need = size - f[q_mask]
             if need > best:
                 best = need
-                best_q = compact
-    _, x_mask = min_balanced_separator_mask(g, best_q, strict)
+                best_q = q_mask
+    limit = _limit(best_q.bit_count() - best, strict)
+    x_mask = next(x for x in _subsets(best_q, best) if lc[best_q ^ x] <= limit)
     return best, {"q": list(bits_of(best_q)), "x": list(bits_of(x_mask))}
 
 

@@ -31,10 +31,11 @@ from widthlab.separators import (
     SUBSET_TABLE_BUDGET,
     _balanced,
     _max_balanced_subset_table,
+    _subsets,
     min_balanced_separator_mask,
 )
 
-from .conftest import _adj_sets
+from .conftest import _adj_sets, _components, _mask_order
 from .conftest import _balanced as oracle_balanced
 from .conftest import (
     oracle_max_balanced_subset_table,
@@ -264,12 +265,28 @@ BALANCE_GRAPHS += [
 def test_balance_kernel_matches_oracle(i):
     g = BALANCE_GRAPHS[i]
     adj = _adj_sets(g)
+    largest = [
+        max((len(c) for c in _components(adj, bits_of(s_mask))), default=0)
+        for s_mask in range(1 << g.n)
+    ]
     for strict in (False, True):
         for s_mask in range(1 << g.n):
             assert _balanced(g, s_mask, strict) == oracle_balanced(adj, bits_of(s_mask), (), strict)
-        assert list(_max_balanced_subset_table(g, strict)) == oracle_max_balanced_subset_table(
-            g, strict
-        )
+        f, lc = _max_balanced_subset_table(g, strict)
+        assert list(f) == oracle_max_balanced_subset_table(g, strict)
+        assert list(lc) == largest
+
+
+def test_subsets_ascend_by_mask():
+    rng = random.Random(2950)
+    universes = [0, (1 << 14) - 1]
+    universes += [rng.getrandbits(14) & rng.getrandbits(14) for _ in range(20)]
+    for universe in universes:
+        members = bits_of(universe)
+        for size in range(len(members) + 1):
+            assert list(_subsets(universe, size)) == [
+                sum(1 << v for v in xs) for xs in _mask_order(members, size)
+            ]
 
 
 # --- witnesses pinned to the documented first-hit order ---------------------------
