@@ -161,9 +161,10 @@ def _bit_reach(adj_bits, start: int, allowed: int) -> int:
     frontier = comp
     while frontier:
         nxt = 0
-        for u in range(len(adj_bits)):
-            if frontier >> u & 1:
-                nxt |= adj_bits[u]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj_bits[low.bit_length() - 1]
+            frontier ^= low
         nxt &= allowed & ~comp
         comp |= nxt
         frontier = nxt
