@@ -263,8 +263,8 @@ def separator_number_with_witness(
             if need > best:
                 best = need
                 best_q = q_mask
-    limit = _limit(best_q.bit_count() - best, strict)
-    x_mask = next(x for x in _subsets(best_q, best) if lc[best_q ^ x] <= limit)
+    largest = _limit(best_q.bit_count() - best, strict)
+    x_mask = next(x for x in _subsets(best_q, best) if lc[best_q ^ x] <= largest)
     return best, {"q": list(bits_of(best_q)), "x": list(bits_of(x_mask))}
 
 
