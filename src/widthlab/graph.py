@@ -38,7 +38,7 @@ def bits_of(mask: int) -> tuple[int, ...]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj_bits", "_full_mask")
+    __slots__ = ("n", "adj_bits", "_full_mask", "_neighbourhood_tables")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -54,6 +54,7 @@ class Graph:
         self.n = n
         self.adj_bits = tuple(bits)
         self._full_mask = (1 << n) - 1
+        self._neighbourhood_tables = None
 
     @property
     def full_mask(self) -> int:
@@ -96,6 +97,24 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges()})"
+
+
+def neighbourhood_tables(g: Graph) -> tuple[int, list[int], list[int], list[int]]:
+    """(w, t0, t1, t2): the union of the neighbourhoods of a vertex set S in
+    three lookups, N(S) = t0[S & m] | t1[(S >> w) & m] | t2[S >> 2w] with
+    m = 2^w - 1 and w = max(1, ceil(n / 3)).  Built once per graph, on
+    first use; equality and hashing ignore it."""
+    if g._neighbourhood_tables is None:
+        adj, w = g.adj_bits, max(1, -(-g.n // 3))
+        parts = []
+        for base in (0, w, 2 * w):
+            t = [0] * (1 << max(0, min(w, g.n - base)))
+            for b in range(1, len(t)):
+                low = b & -b
+                t[b] = t[b ^ low] | adj[base + low.bit_length() - 1]
+            parts.append(t)
+        g._neighbourhood_tables = (w, *parts)
+    return g._neighbourhood_tables
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .graph import (
     is_chordal,
     mask_of,
     maximal_cliques_chordal,
-    reach_mask,
+    neighbourhood_tables,
 )
 
 SEPARATOR_NUMBER_CAP = 12
@@ -202,15 +202,21 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytea
     one-vertex removals, a scan that stops at |S| - 1, the most any
     removal leaves; minimum-separator size of G[Q] is |Q| - f[Q].
     S is balanced iff lc[S] is within the limit.  With C the component
-    of the lowest vertex of S, lc[S] = max(|C|, lc[S - C]), and S - C < S
+    of the lowest vertex of S, walked layer by layer through
+    `neighbourhood_tables`, lc[S] = max(|C|, lc[S - C]), and S - C < S
     is already filled.
     """
     n = g.n
     check_table_size("separator_number", n, SEPARATOR_TABLE_MAX_N)
     f = bytearray(1 << n)
     lc = bytearray(1 << n)
+    w, t0, t1, t2 = neighbourhood_tables(g)
+    m, w2 = (1 << w) - 1, 2 * w
     for s_mask in range(1, 1 << n):
-        comp = reach_mask(g, (s_mask & -s_mask).bit_length() - 1, s_mask)
+        comp, grown = 0, s_mask & -s_mask
+        while grown != comp:
+            comp = grown
+            grown = (t0[comp & m] | t1[comp >> w & m] | t2[comp >> w2] | comp) & s_mask
         lc[s_mask] = max(comp.bit_count(), lc[s_mask ^ comp])
         size = s_mask.bit_count()
         if lc[s_mask] <= _limit(size, strict):

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
 from .errors import DomainError, InvalidSeparator, InvariantViolation, SizeLimitExceeded
-from .graph import Graph, bits_of, component_masks, reach_mask
+from .graph import Graph, bits_of, component_masks, neighbourhood_tables
 from .separators import (
     SEPARATOR_NUMBER_CAP,
     _balanced,
@@ -98,11 +98,12 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
 
     Memoized recursion over a byte table of all 2^n subsets (0 = not yet
     known).  A disconnected set splits off the component of its lowest
-    vertex (max rule); a connected one tries single-vertex deletions (min
-    rule).  Deleting a vertex lowers cycle rank by at most one and never
-    raises it, so the children of a connected set take two adjacent
-    values, and the scan stops at the first child below the first one
-    seen.  Every table entry is exact, so reconstruction is unaffected.
+    vertex, walked layer by layer through `neighbourhood_tables` (max
+    rule); a connected one tries single-vertex deletions (min rule).
+    Deleting a vertex lowers cycle rank by at most one and never raises
+    it, so the children of a connected set take two adjacent values, and
+    the scan stops at the first child below the first one seen.  Every
+    table entry is exact, so reconstruction is unaffected.
     """
     if g.n > cap:
         raise SizeLimitExceeded(f"cycle_rank: n = {g.n} > cap {cap}")
@@ -110,6 +111,8 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
     if g.n == 0:
         return 0, Ranking({})
     table = bytearray(1 << g.n)
+    w, t0, t1, t2 = neighbourhood_tables(g)
+    m, w2 = (1 << w) - 1, 2 * w
 
     def rank_any(mask: int) -> int:
         if mask & (mask - 1) == 0:
@@ -117,7 +120,10 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
         r = table[mask]
         if r:
             return r
-        comp = reach_mask(g, (mask & -mask).bit_length() - 1, mask)
+        comp, grown = 0, mask & -mask
+        while grown != comp:
+            comp = grown
+            grown = (t0[comp & m] | t1[comp >> w & m] | t2[comp >> w2] | comp) & mask
         if comp != mask:
             r = max(rank_any(comp), rank_any(mask ^ comp))
         else:
@@ -242,26 +248,24 @@ def _min_fill_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _fill_degrees(adj: tuple[int, ...], done: int, full: int) -> Iterator[tuple[int, int]]:
+def _fill_degrees(g: Graph, done: int) -> Iterator[tuple[int, int]]:
     """(bit of v, fill degree of v) for each v outside `done`, once `done` is
     eliminated: v's neighbours outside `done`, directly or through the
-    components of `done` it touches, each found once with its outside
-    neighbourhood."""
-    outside = full ^ done
+    components of `done` it touches.  Each component is grown layer by
+    layer through `neighbourhood_tables`, once, and the walk's last
+    lookup is its whole neighbourhood."""
+    adj = g.adj_bits
+    w, t0, t1, t2 = neighbourhood_tables(g)
+    m, w2 = (1 << w) - 1, 2 * w
+    outside = g.full_mask ^ done
     comps = []
     rest = done
     while rest:
-        comp = frontier = rest & -rest
-        reach = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            reach |= nxt
-            frontier = nxt & done & ~comp
-            comp |= frontier
+        comp, grown = 0, rest & -rest
+        while grown != comp:
+            comp = grown
+            reach = t0[comp & m] | t1[comp >> w & m] | t2[comp >> w2]
+            grown = (reach | comp) & done
         comps.append((comp, reach & outside))
         rest &= ~comp
     rest = outside
@@ -285,7 +289,7 @@ def _treewidth_table(g: Graph, ub: int) -> bytearray:
         val = tw[done]
         if val > ub:
             continue
-        for low, d in _fill_degrees(g.adj_bits, done, full):
+        for low, d in _fill_degrees(g, done):
             if d < val:
                 d = val
             if d < tw[done | low]:
@@ -333,7 +337,7 @@ def treewidth(g: Graph, cap: int = TW_CAP) -> tuple[int, tuple[int, ...]]:
             low = rest & -rest
             rest ^= low
             done = s_mask ^ low
-            d = dict(_fill_degrees(g.adj_bits, done, full))[low]
+            d = dict(_fill_degrees(g, done))[low]
             if max(tw[done], d) == tw[s_mask]:
                 order.append(low.bit_length() - 1)
                 s_mask = done
@@ -370,26 +374,36 @@ def eliminate_and_measure(g: Graph, order: tuple[int, ...]) -> int:
 
 
 def _boundary(g: Graph, s_mask: int) -> int:
-    adj = g.adj_bits
-    count = 0
-    rest = s_mask
-    outside = ~s_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if adj[low.bit_length() - 1] & outside:
-            count += 1
-    return count
+    """Vertices of S with a neighbour outside S: |S & N(V - S)|."""
+    w, t0, t1, t2 = neighbourhood_tables(g)
+    m = (1 << w) - 1
+    out = g.full_mask ^ s_mask
+    return (s_mask & (t0[out & m] | t1[out >> w & m] | t2[out >> 2 * w])).bit_count()
 
 
-def _min_boundary_layout(g: Graph) -> tuple[int, ...]:
-    """Greedy layout: next the vertex that leaves the smallest boundary, ties to the smallest id."""
+def _min_boundary_layout(g: Graph, fewest_new: bool = False) -> tuple[int, ...]:
+    """Greedy layout: next the vertex that leaves the smallest boundary; ties
+    go to the smallest id, or with `fewest_new` first to the vertex with the
+    fewest new outside neighbours (neighbours not in the prefix)."""
+    adj, full = g.adj_bits, g.full_mask
+    w, t0, t1, t2 = neighbourhood_tables(g)
+    m, w2 = (1 << w) - 1, 2 * w
     prefix = 0
     order = []
-    for _ in range(g.n):
-        v = min(bits_of(g.full_mask & ~prefix), key=lambda u: _boundary(g, prefix | 1 << u))
-        prefix |= 1 << v
-        order.append(v)
+    while prefix != full:
+        best = None
+        rest = full ^ prefix
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out = full ^ prefix ^ low
+            key = ((prefix | low) & (t0[out & m] | t1[out >> w & m] | t2[out >> w2])).bit_count()
+            if fewest_new:
+                key = key * (g.n + 1) + (adj[low.bit_length() - 1] & ~prefix).bit_count()
+            if best is None or key < best:
+                best, pick = key, low
+        prefix |= pick
+        order.append(pick.bit_length() - 1)
     return tuple(order)
 
 
@@ -398,11 +412,14 @@ def _pathwidth_table(g: Graph, ub: int) -> bytearray:
     full = g.full_mask
     pw = bytearray([ub + 1]) * (full + 1)
     pw[0] = 0
+    w, t0, t1, t2 = neighbourhood_tables(g)
+    m, w2 = (1 << w) - 1, 2 * w
     for done in range(full + 1):
         val = pw[done]  # the best over predecessors, before the boundary of `done`
         if val > ub:
             continue
-        b = _boundary(g, done)
+        out = full ^ done
+        b = (done & (t0[out & m] | t1[out >> w & m] | t2[out >> w2])).bit_count()
         if b > ub:
             pw[done] = ub + 1
             continue
@@ -424,13 +441,13 @@ def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
     set of first |S| layout positions: PW(S) = max(boundary of S, min
     over v in S of PW(S - v)); pathwidth equals PW(V).
 
-    The table is pruned as in `treewidth`, with ub from the greedy layout
-    that adds the vertex leaving the smallest boundary (ties to the
-    smallest id), replayed by `separation_profile`.  A set reached with a
-    value at most ub takes its boundary, computed only for such sets, and
-    pushes the result to S + v unless it exceeds ub.  So the witness, the
-    smallest-id choice at every step back from V, is the one the unpruned
-    table gives; it is re-validated by its separation profile.
+    The table is pruned as in `treewidth`, with ub the better of the two
+    greedy layouts of `_min_boundary_layout`, replayed by
+    `separation_profile`.  A set reached with a value at most ub takes its
+    boundary, |S & N(V - S)| off `neighbourhood_tables`, and pushes the
+    result to S + v unless it exceeds ub.  So the witness, the smallest-id
+    choice at every step back from V, is the one the unpruned table
+    gives; it is re-validated by its separation profile.
     """
     n = g.n
     if n > cap:
@@ -439,7 +456,8 @@ def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
     if n == 0:
         return 0, ()
     full = g.full_mask
-    pw = _pathwidth_table(g, separation_profile(g, _min_boundary_layout(g)))
+    pw = _pathwidth_table(g, min(separation_profile(g, _min_boundary_layout(g, fewest_new))
+                                 for fewest_new in (False, True)))
     value = pw[full]
 
     order: list[int] = []

@@ -23,6 +23,7 @@ from widthlab import (
     treewidth,
 )
 from widthlab.solvers import (
+    _boundary,
     _min_boundary_layout,
     _min_fill_order,
     _pathwidth_table,
@@ -32,7 +33,9 @@ from widthlab.solvers import (
 )
 
 from .conftest import (
+    _oracle_boundary,
     oracle_cycle_rank_dp,
+    oracle_fewest_new_layout,
     oracle_pathwidth_dp,
     oracle_pathwidth_table,
     oracle_treewidth_dp,
@@ -124,12 +127,50 @@ def test_pruned_tables_are_exact_up_to_the_bound(i):
         assert list(_pathwidth_table(g, ub)) == [min(v, ub + 1) for v in full_pw]
 
 
+@pytest.mark.parametrize("i", range(len(TABLE_GRAPHS)))
+def test_boundary_matches_oracle_on_every_subset(i):
+    g = TABLE_GRAPHS[i]
+    for s_mask in range(1 << g.n):
+        assert _boundary(g, s_mask) == _oracle_boundary(g.adj_bits, s_mask)
+
+
 @pytest.mark.parametrize("p", DENSITY_LADDER)
 def test_greedy_bounds_are_at_least_exact(p):
     for n in range(1, 13):
         g = random_graph(n, p, 2600 + n)
         assert eliminate_and_measure(g, _min_fill_order(g)) >= treewidth(g)[0]
-        assert separation_profile(g, _min_boundary_layout(g)) >= pathwidth(g)[0]
+        pw = pathwidth(g)[0]
+        assert separation_profile(g, _min_boundary_layout(g)) >= pw
+        assert separation_profile(g, _min_boundary_layout(g, True)) >= pw
+
+
+@pytest.mark.parametrize("p", DENSITY_LADDER)
+def test_fewest_new_layout_matches_oracle(p):
+    for n in range(0, 13):
+        g = random_graph(n, p, 2650 + n)
+        assert _min_boundary_layout(g, True) == oracle_fewest_new_layout(g)
+
+
+def test_fewest_new_layout_breaks_boundary_ties():
+    # Every first vertex leaves boundary 1; leaf 1 has one outside
+    # neighbour against the centre's three.
+    assert _min_boundary_layout(star(3), True) == (1, 0, 2, 3)
+    # Bowtie of triangles 0-2-3 and 1-2-4.  After 0 every vertex leaves
+    # boundary 2, and 3 adds the fewest outside neighbours ({2}), so the
+    # layout closes one triangle before opening the other: profile 2 = pw,
+    # against 3 for the smallest-id tie-break.
+    bowtie = Graph(5, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4)])
+    assert _min_boundary_layout(bowtie, True) == (0, 3, 2, 1, 4)
+    assert separation_profile(bowtie, _min_boundary_layout(bowtie, True)) == 2
+    assert separation_profile(bowtie, _min_boundary_layout(bowtie)) == 3
+
+
+def test_fewest_new_layout_bounds_the_benchmark_graph_tightly():
+    # The smallest-id tie-break gives 8 here; pw is 5.
+    g = random_graph(18, 0.3, 7)
+    assert separation_profile(g, _min_boundary_layout(g)) == 8
+    assert separation_profile(g, _min_boundary_layout(g, True)) == 5
+    assert pathwidth(g)[0] == 5
 
 
 def test_greedy_orders_break_ties_by_smallest_id():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -24,7 +25,7 @@ from widthlab import (
     serialize_edge_list,
     star,
 )
-from widthlab.graph import maximal_cliques_chordal
+from widthlab.graph import bits_of, maximal_cliques_chordal, neighbourhood_tables
 
 from .conftest import oracle_is_chordal
 
@@ -115,6 +116,47 @@ def test_generator_invariants(n, p, seed):
         assert g.adj_bits[v] >> g.n == 0
         for u in range(g.n):
             assert (g.adj_bits[v] >> u) & 1 == (g.adj_bits[u] >> v) & 1
+
+
+# --- neighbourhood tables -----------------------------------------------------
+
+
+def _lookup(g, s_mask):
+    w, t0, t1, t2 = neighbourhood_tables(g)
+    m = (1 << w) - 1
+    return t0[s_mask & m] | t1[(s_mask >> w) & m] | t2[s_mask >> 2 * w]
+
+
+def _union_of_neighbourhoods(g, s_mask):
+    out = 0
+    for v in bits_of(s_mask):
+        out |= g.adj_bits[v]
+    return out
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_neighbourhood_tables_every_subset(n):
+    # n = 1 and every n that 3 does not divide leave a short last table.
+    g = random_graph(n, (0.1, 0.3, 0.5, 0.7, 0.9)[n % 5], 3100 + n)
+    for s_mask in range(1 << n):
+        assert _lookup(g, s_mask) == _union_of_neighbourhoods(g, s_mask)
+
+
+@pytest.mark.parametrize("n", [19, 20, 27, 28])
+def test_neighbourhood_tables_random_subsets(n):
+    g = random_graph(n, 0.3, 3200 + n)
+    rng = random.Random(n)
+    for _ in range(500):
+        s_mask = rng.getrandbits(n)
+        assert _lookup(g, s_mask) == _union_of_neighbourhoods(g, s_mask)
+
+
+def test_neighbourhood_tables_are_built_once_and_ignored_by_equality():
+    g, h = random_graph(9, 0.4, 3300), random_graph(9, 0.4, 3300)
+    tables = neighbourhood_tables(g)
+    assert neighbourhood_tables(g) is tables
+    assert g == h and hash(g) == hash(h)
+    assert {g: 1}[h] == 1
 
 
 # --- components / induced -----------------------------------------------------
