@@ -65,13 +65,10 @@ class AuditFinding:
 
 
 def _equality_predicted(k: int, n: int) -> int:
-    """1 iff n = k * (2^j - 1) for some integer j >= 1."""
-    j = 1
-    while k * ((1 << j) - 1) <= n:
-        if k * ((1 << j) - 1) == n:
-            return 1
-        j += 1
-    return 0
+    """1 iff n = k * (2^j - 1) for some integer j >= 1, that is, iff k
+    divides n and q = n/k + 1 is a power of two with q >= 2."""
+    q = n // k + 1
+    return int(n % k == 0 and q >= 2 and q & (q - 1) == 0)
 
 
 def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
@@ -93,121 +90,58 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
         )
     findings: list[AuditFinding] = []
 
+    def row(claim: str, inputs: dict, printed: int, oracle: int) -> None:
+        findings.append(AuditFinding(claim, inputs, printed, oracle, printed == oracle))
+
+    def out_of_domain(claim: str, inputs: dict, oracle: int | None = None) -> None:
+        findings.append(AuditFinding(claim, inputs, None, oracle, None, OUT_OF_DOMAIN))
+
     for k in range(1, k_max + 1):
         for n in range(0, n_max + 1):
-            printed = R_explicit(k, n)
-            oracle = R_rec(k, n)
-            findings.append(
-                AuditFinding("Eq1", {"k": k, "n": n}, printed, oracle, printed == oracle)
-            )
+            row("Eq1", {"k": k, "n": n}, R_explicit(k, n), R_rec(k, n))
 
     for k in range(1, k_max + 1):
         for j in range(1, r_max + 1):
             oracle = N_adjoint(k, j) - N_adjoint(k, j - 1)
             if k == 1:
-                findings.append(
-                    AuditFinding("C6.1", {"k": k, "j": j}, None, oracle, None, OUT_OF_DOMAIN)
-                )
-                continue
-            printed = claim61_value(k, j)
-            findings.append(
-                AuditFinding("C6.1", {"k": k, "j": j}, printed, oracle, printed == oracle)
-            )
+                out_of_domain("C6.1", {"k": k, "j": j}, oracle)
+            else:
+                row("C6.1", {"k": k, "j": j}, claim61_value(k, j), oracle)
 
     for k in range(1, k_max + 1):
         for r in range(1, r_max + 1):
             oracle = N_adjoint(k, r)
             if k == 1:
-                findings.append(
-                    AuditFinding("C6.2", {"k": k, "r": r}, None, oracle, None, OUT_OF_DOMAIN)
-                )
-                continue
-            printed = claim62_value(k, r)
-            findings.append(
-                AuditFinding("C6.2", {"k": k, "r": r}, printed, oracle, printed == oracle)
-            )
+                out_of_domain("C6.2", {"k": k, "r": r}, oracle)
+            else:
+                row("C6.2", {"k": k, "r": r}, claim62_value(k, r), oracle)
 
     # C6.3 splits into the inequality itself, its claimed equality cases,
     # and the x = 0 minimality of the interpolating function that the
     # proof's calculus argument rests on.
     for k in range(1, k_max + 1):
-        if k == 1:
-            for r in range(1, r_max + 1):
-                findings.append(
-                    AuditFinding(
-                        "C6.3",
-                        {"k": k, "r": r, "part": "leq"},
-                        None,
-                        None,
-                        None,
-                        OUT_OF_DOMAIN,
-                    )
-                )
-            continue
         for r in range(1, r_max + 1):
+            if k == 1:
+                out_of_domain("C6.3", {"k": k, "r": r, "part": "leq"})
+                continue
             n_val = N_adjoint(k, r)
             bound = claim63_lower(k, r)
-            findings.append(
-                AuditFinding(
-                    "C6.3",
-                    {"k": k, "r": r, "part": "leq"},
-                    1,
-                    1 if bound.leq(n_val) else 0,
-                    bound.leq(n_val),
-                )
-            )
-            predicted_eq = 1 if r % k == 0 else 0
-            observed_eq = 1 if bound.eq(n_val) else 0
-            findings.append(
-                AuditFinding(
-                    "C6.3",
-                    {"k": k, "r": r, "part": "eq"},
-                    predicted_eq,
-                    observed_eq,
-                    predicted_eq == observed_eq,
-                )
-            )
+            row("C6.3", {"k": k, "r": r, "part": "leq"}, 1, int(bound.leq(n_val)))
+            row("C6.3", {"k": k, "r": r, "part": "eq"}, int(r % k == 0), int(bound.eq(n_val)))
         for x in range(1, k):
-            holds = fmin_boundary_holds(k, x)
-            findings.append(
-                AuditFinding(
-                    "C6.3",
-                    {"k": k, "x": x, "part": "fmin"},
-                    1,
-                    1 if holds else 0,
-                    holds,
-                )
-            )
+            row("C6.3", {"k": k, "x": x, "part": "fmin"}, 1, int(fmin_boundary_holds(k, x)))
 
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
-            predicted = _equality_predicted(k, n)
-            observed = 1 if bound_thm6(k, n).eq(R_rec(k, n)) else 0
-            findings.append(
-                AuditFinding(
-                    "T6-equality",
-                    {"k": k, "n": n},
-                    predicted,
-                    observed,
-                    predicted == observed,
-                )
-            )
+            row("T6-equality", {"k": k, "n": n}, _equality_predicted(k, n),
+                int(bound_thm6(k, n).eq(R_rec(k, n))))
 
     from .solvers import bandwidth  # local import: solver is the oracle here
 
     for d in (1, 2, 3):
         exact, _ = bandwidth(hypercube(d))
         for variant in ("printed", "standard"):
-            printed = harper_bandwidth(d, variant)
-            findings.append(
-                AuditFinding(
-                    "T12-harper",
-                    {"d": d, "variant": variant},
-                    printed,
-                    exact,
-                    printed == exact,
-                )
-            )
+            row("T12-harper", {"d": d, "variant": variant}, harper_bandwidth(d, variant), exact)
 
     return findings
 

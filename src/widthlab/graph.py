@@ -301,23 +301,22 @@ def maximal_cliques_chordal(g: Graph, peo: tuple[int, ...] | None = None) -> lis
 # Generators
 
 
-def _check_size(n: int) -> None:
-    if n > GENERATOR_CAP:
-        raise SizeLimitExceeded(f"generator refuses n = {n} > {GENERATOR_CAP}")
+def _check_size(n: int, what: str = "n", cap: int = GENERATOR_CAP) -> None:
+    """Refuse a generator argument below 0 or above `cap`."""
+    if n < 0:
+        raise DomainError(f"{what} must be nonnegative")
+    if n > cap:
+        raise SizeLimitExceeded(f"generator refuses {what} = {_number(n)} > {cap}")
 
 
 def path(n: int) -> Graph:
     """Path graph 0-1-...-(n-1)."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
     _check_size(n)
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def path_power(n: int, k: int) -> Graph:
     """k-th power of the path: edge {u,v} iff 1 <= |u-v| <= k."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
     if k < 1:
         raise DomainError(f"power k must be >= 1, got {k}")
     _check_size(n)
@@ -328,25 +327,18 @@ def path_power(n: int, k: int) -> Graph:
 
 def hypercube(d: int) -> Graph:
     """d-dimensional hypercube; vertex ids are the coordinate bit patterns."""
-    if d < 0:
-        raise DomainError("dimension must be nonnegative")
-    if 2**d > GENERATOR_CAP:
-        raise SizeLimitExceeded(f"hypercube(d={d}) has 2^{d} > {GENERATOR_CAP} vertices")
+    _check_size(d, "dimension", GENERATOR_CAP.bit_length() - 1)
     n = 1 << d
     return Graph(n, ((u, u | (1 << b)) for u in range(n) for b in range(d) if not (u >> b) & 1))
 
 
 def star(n: int) -> Graph:
     """Star with center 0 and n leaves 1..n."""
-    if n < 0:
-        raise DomainError("leaf count must be nonnegative")
-    _check_size(n + 1)
+    _check_size(n, "leaf count", GENERATOR_CAP - 1)
     return Graph(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
 def complete(n: int) -> Graph:
-    if n < 0:
-        raise DomainError("n must be nonnegative")
     _check_size(n)
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
@@ -355,15 +347,13 @@ def complete_binary_tree(d: int) -> Graph:
     """Complete binary tree of depth d, on 2^d - 1 vertices (heap layout)."""
     if d < 1:
         raise DomainError(f"depth must be >= 1, got {d}")
+    _check_size(d, "depth", GENERATOR_CAP.bit_length() - 1)
     n = 2**d - 1
-    _check_size(n)
     return Graph(n, ((v, (v - 1) // 2) for v in range(1, n)))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with edges drawn pair by pair from SplitMix64(seed)."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
     _check_size(n)
@@ -376,8 +366,6 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via a random Pruefer sequence."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
     _check_size(n)
     if n <= 1:
         return Graph(n)
@@ -413,8 +401,6 @@ def random_chordal(n: int, width: int, seed: int) -> Graph:
     Builds a k-tree with k = width: start from a (width+1)-clique, then
     attach each new vertex to a uniformly chosen existing width-clique.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
     if width < 1:
         raise DomainError(f"width must be >= 1, got {width}")
     _check_size(n)
@@ -449,8 +435,12 @@ def _quote(line: str) -> str:
 
 
 def _number(x: int) -> str:
-    """`x` for an error message, or its digit count when it has more than 60 digits."""
-    digits = str(x)
+    """`x` for an error message, or its digit count when it has more than 60 digits
+    (its bit count past Python's int -> str digit limit)."""
+    try:
+        digits = str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit number>"
     return digits if len(digits) <= 60 else f"<{len(digits)}-digit number>"
 
 

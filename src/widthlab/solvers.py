@@ -15,11 +15,11 @@ treewidth = pathwidth = bandwidth = 0; a single vertex has cycle rank 1
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
 from .errors import DomainError, InvalidSeparator, InvariantViolation, SizeLimitExceeded
-from .graph import Graph, bits_of, component_masks, neighbourhood_tables
+from .graph import Graph, bits_of, component_masks, neighbourhood_tables, reach_mask
 from .separators import (
     SEPARATOR_NUMBER_CAP,
     _balanced,
@@ -248,53 +248,69 @@ def _min_fill_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _fill_degrees(g: Graph, done: int) -> Iterator[tuple[int, int]]:
-    """(bit of v, fill degree of v) for each v outside `done`, once `done` is
-    eliminated: v's neighbours outside `done`, directly or through the
-    components of `done` it touches.  Each component is grown layer by
-    layer through `neighbourhood_tables`, once, and the walk's last
-    lookup is its whole neighbourhood."""
-    adj = g.adj_bits
+def _treewidth_table(g: Graph, ub: int) -> bytearray:
+    """TW(S) for every S whose value is at most `ub`; every other S holds ub + 1.
+
+    The fill degree of v outside S counts v's neighbours outside S + v,
+    directly or through the components of S that v touches.  Each
+    component is grown layer by layer through `neighbourhood_tables`, once
+    per set, and the walk's last lookup is its whole neighbourhood."""
+    adj, full = g.adj_bits, g.full_mask
     w, t0, t1, t2 = neighbourhood_tables(g)
     m, w2 = (1 << w) - 1, 2 * w
-    outside = g.full_mask ^ done
-    comps = []
-    rest = done
-    while rest:
-        comp, grown = 0, rest & -rest
-        while grown != comp:
-            comp = grown
-            reach = t0[comp & m] | t1[comp >> w & m] | t2[comp >> w2]
-            grown = (reach | comp) & done
-        comps.append((comp, reach & outside))
-        rest &= ~comp
-    rest = outside
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        nb = adj[low.bit_length() - 1]
-        if nb & done:
-            for comp, comp_nb in comps:
-                if nb & comp:
-                    nb |= comp_nb
-        yield low, (nb & outside & ~low).bit_count()
-
-
-def _treewidth_table(g: Graph, ub: int) -> bytearray:
-    """TW(S) for every S whose value is at most `ub`; every other S holds ub + 1."""
-    full = g.full_mask
     tw = bytearray([ub + 1]) * (full + 1)
     tw[0] = 0
     for done in range(full + 1):
         val = tw[done]
         if val > ub:
             continue
-        for low, d in _fill_degrees(g, done):
+        outside = full ^ done
+        comps = []
+        rest = done
+        while rest:
+            comp, grown = 0, rest & -rest
+            while grown != comp:
+                comp = grown
+                reach = t0[comp & m] | t1[comp >> w & m] | t2[comp >> w2]
+                grown = (reach | comp) & done
+            comps.append((comp, reach & outside))
+            rest &= ~comp
+        rest = outside
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nb = adj[low.bit_length() - 1]
+            if nb & done:
+                for comp, comp_nb in comps:
+                    if nb & comp:
+                        nb |= comp_nb
+            d = (nb & outside & ~low).bit_count()
             if d < val:
                 d = val
             if d < tw[done | low]:
                 tw[done | low] = d
     return tw
+
+
+def _walk_back(full: int, attains: Callable[[int, int], bool]) -> tuple[int, ...]:
+    """Order read back off a subset table: from V, step to S - v for the
+    smallest-id v whose move `attains(S, bit of v)` the value of S, then
+    reverse."""
+    order = []
+    s_mask = full
+    while s_mask:
+        rest = s_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if attains(s_mask, low):
+                order.append(low.bit_length() - 1)
+                s_mask ^= low
+                break
+        else:
+            raise AssertionError("subset table reconstruction failed")
+    order.reverse()
+    return tuple(order)
 
 
 def treewidth(g: Graph, cap: int = TW_CAP) -> tuple[int, tuple[int, ...]]:
@@ -328,26 +344,19 @@ def treewidth(g: Graph, cap: int = TW_CAP) -> tuple[int, tuple[int, ...]]:
     full = g.full_mask
     tw = _treewidth_table(g, eliminate_and_measure(g, _min_fill_order(g)))
     value = tw[full]
+    w, t0, t1, t2 = neighbourhood_tables(g)
+    m = (1 << w) - 1
 
-    order: list[int] = []
-    s_mask = full
-    while s_mask:
-        rest = s_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            done = s_mask ^ low
-            d = dict(_fill_degrees(g, done))[low]
-            if max(tw[done], d) == tw[s_mask]:
-                order.append(low.bit_length() - 1)
-                s_mask = done
-                break
-        else:
-            raise AssertionError("treewidth reconstruction failed")
-    order.reverse()
-    if eliminate_and_measure(g, tuple(order)) != value:
+    def attains(s_mask: int, low: int) -> bool:
+        # the fill degree of v: N(C) - S, C the component of v within S
+        comp = reach_mask(g, low.bit_length() - 1, s_mask)
+        d = ((t0[comp & m] | t1[comp >> w & m] | t2[comp >> 2 * w]) & ~s_mask).bit_count()
+        return max(tw[s_mask ^ low], d) == tw[s_mask]
+
+    order = _walk_back(full, attains)
+    if eliminate_and_measure(g, order) != value:
         raise InvariantViolation("treewidth witness does not replay to the DP value")
-    return value, tuple(order)
+    return value, order
 
 
 def eliminate_and_measure(g: Graph, order: tuple[int, ...]) -> int:
@@ -386,8 +395,6 @@ def _min_boundary_layout(g: Graph, fewest_new: bool = False) -> tuple[int, ...]:
     go to the smallest id, or with `fewest_new` first to the vertex with the
     fewest new outside neighbours (neighbours not in the prefix)."""
     adj, full = g.adj_bits, g.full_mask
-    w, t0, t1, t2 = neighbourhood_tables(g)
-    m, w2 = (1 << w) - 1, 2 * w
     prefix = 0
     order = []
     while prefix != full:
@@ -396,8 +403,7 @@ def _min_boundary_layout(g: Graph, fewest_new: bool = False) -> tuple[int, ...]:
         while rest:
             low = rest & -rest
             rest ^= low
-            out = full ^ prefix ^ low
-            key = ((prefix | low) & (t0[out & m] | t1[out >> w & m] | t2[out >> w2])).bit_count()
+            key = _boundary(g, prefix | low)
             if fewest_new:
                 key = key * (g.n + 1) + (adj[low.bit_length() - 1] & ~prefix).bit_count()
             if best is None or key < best:
@@ -459,25 +465,11 @@ def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
     pw = _pathwidth_table(g, min(separation_profile(g, _min_boundary_layout(g, fewest_new))
                                  for fewest_new in (False, True)))
     value = pw[full]
-
-    order: list[int] = []
-    s_mask = full
-    while s_mask:
-        b = _boundary(g, s_mask)
-        rest = s_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if max(b, pw[s_mask ^ low]) == pw[s_mask]:
-                order.append(low.bit_length() - 1)
-                s_mask ^= low
-                break
-        else:
-            raise AssertionError("pathwidth reconstruction failed")
-    order.reverse()
-    if separation_profile(g, tuple(order)) != value:
+    order = _walk_back(full, lambda s_mask, low:
+                       max(_boundary(g, s_mask), pw[s_mask ^ low]) == pw[s_mask])
+    if separation_profile(g, order) != value:
         raise InvariantViolation("pathwidth witness does not replay to the DP value")
-    return value, tuple(order)
+    return value, order
 
 
 def separation_profile(g: Graph, order: tuple[int, ...]) -> int:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from widthlab import (
@@ -8,7 +11,13 @@ from widthlab import (
     audit_summary,
     hypercube_report,
 )
-from widthlab.audit import audit_internal_ok
+from widthlab.audit import (
+    AUDIT_K_MAX,
+    AUDIT_N_MAX,
+    AUDIT_R_MAX,
+    _equality_predicted,
+    audit_internal_ok,
+)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +92,29 @@ def test_audit_is_deterministic():
     a = audit_claims(3, 8, 12)
     b = audit_claims(3, 8, 12)
     assert [f.to_json_dict() for f in a] == [f.to_json_dict() for f in b]
+
+
+def test_audit_rows_at_the_caps_are_pinned():
+    findings = audit_claims(AUDIT_K_MAX, AUDIT_R_MAX, AUDIT_N_MAX)
+    rows = json.dumps([f.to_json_dict() for f in findings])
+    digest = hashlib.sha256(rows.encode()).hexdigest()
+    assert digest == "9030bdcd1a66aaaf98877dbf4a2a52f61737687b7147d448d6b78554c08f0cc1"
+
+
+def _equality_predicted_by_search(k, n):
+    """1 iff n = k * (2^j - 1) for some j >= 1, found by trying j = 1, 2, ..."""
+    j = 1
+    while k * ((1 << j) - 1) <= n:
+        if k * ((1 << j) - 1) == n:
+            return 1
+        j += 1
+    return 0
+
+
+def test_equality_predicted_matches_search():
+    for k in range(1, 17):
+        for n in range(0, 1025):
+            assert _equality_predicted(k, n) == _equality_predicted_by_search(k, n), (k, n)
 
 
 def test_audit_rejects_bad_bounds():

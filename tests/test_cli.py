@@ -59,6 +59,14 @@ def test_gen_missing_param_is_usage_error(capsys):
     assert "requires" in err
 
 
+@pytest.mark.parametrize("family", ["hypercube", "complete_binary_tree"])
+def test_gen_huge_dimension_exit4(capsys, family):
+    # refused before 2^d is computed or formatted into the message
+    code, out, err = run(capsys, "gen", "--family", family, "--d", "100000")
+    assert code == 4
+    assert out == "" and "size limit" in err and "Traceback" not in err
+
+
 # --- compute ----------------------------------------------------------------
 
 

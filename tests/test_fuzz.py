@@ -1,14 +1,15 @@
-"""Fuzz the error contract: arbitrary input bytes never end in a traceback.
+"""Fuzz the error contract: arbitrary inputs never end in a traceback.
 
 `parse_edge_list` either returns a graph or raises one of the documented
-input errors, and `widthlab compute` turns any input file into one of the
-documented exit codes 0-4.
+input errors, `widthlab compute` turns any input file into one of the
+documented exit codes 0-4, and so does `widthlab gen` for any family and
+argument values.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from widthlab.cli import main
+from widthlab.cli import _FAMILY_PARAMS, main
 from widthlab.errors import MalformedInput, SizeLimitExceeded
 from widthlab.graph import parse_edge_list
 
@@ -59,6 +60,43 @@ def test_compute_returns_a_documented_exit_code(tmp_path, capsys, data):
     f = tmp_path / "g.txt"
     f.write_bytes(data)
     code = main(["compute", "--input", str(f), "--params", "s,tw,pw", "--cap-n", "8"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in captured.err
+    assert (code == 0) == (captured.out != "")
+
+
+# Vertex counts stay far below the generator cap: `complete --n 65536` alone
+# is O(n^2) and would dominate the suite.
+GEN_ARGS = {
+    "n": st.integers(-3, 200),
+    "k": st.integers(-3, 20),
+    "width": st.integers(-3, 20),
+    "seed": st.integers(-2**70, 2**70),
+    "p": st.one_of(st.floats(-0.5, 1.5),
+                   st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.5])),
+    "d": st.one_of(st.integers(-3, 12), st.integers(17, 10**6)),
+}
+
+
+@st.composite
+def gen_argv(draw):
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    argv = ["gen", "--family", family]
+    for name in _FAMILY_PARAMS[family]:
+        argv += [f"--{name}", str(draw(GEN_ARGS[name]))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gen_argv())
+@example(["gen", "--family", "complete_binary_tree", "--d", "100000"])
+def test_gen_returns_a_documented_exit_code(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits 2 itself, e.g. on "--p -1e-05", read as an option
+        code = exc.code
     captured = capsys.readouterr()
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in captured.err

@@ -25,6 +25,7 @@ from widthlab import (
     serialize_edge_list,
     star,
 )
+from widthlab import graph as graph_mod
 from widthlab.graph import bits_of, maximal_cliques_chordal, neighbourhood_tables
 
 from .conftest import oracle_is_chordal
@@ -78,6 +79,34 @@ def test_generator_caps():
         path(2**16 + 1)
     with pytest.raises(SizeLimitExceeded):
         hypercube(17)
+    with pytest.raises(SizeLimitExceeded):
+        complete_binary_tree(17)
+    with pytest.raises(SizeLimitExceeded):
+        star(2**16)
+
+
+def test_dimension_16_is_accepted(monkeypatch):
+    # A stand-in Graph that only records n, so the 2^16-vertex graphs are not built.
+    monkeypatch.setattr(graph_mod, "Graph", lambda n, edges=(): n)
+    assert hypercube(16) == 2**16
+    assert complete_binary_tree(16) == 2**16 - 1
+    assert star(2**16 - 1) == 2**16
+
+
+def test_generator_refuses_a_number_past_the_digit_limit():
+    with pytest.raises(SizeLimitExceeded, match="16610-bit number"):
+        path(10**5000)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: path(-1), "n must be nonnegative"),
+    (lambda: star(-1), "leaf count must be nonnegative"),
+    (lambda: hypercube(-1), "dimension must be nonnegative"),
+    (lambda: random_tree(-2, 0), "n must be nonnegative"),
+])
+def test_generators_refuse_negative_arguments(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
 
 
 def test_random_graph_extremes():
