@@ -293,6 +293,25 @@ def test_bandwidth_at_deep_cap(g):
     assert pathwidth(g)[0] <= value
 
 
+# (value, layout) at the deep cap, recorded from the search that started at
+# the larger of the degree and diameter bounds.
+PINNED_BW = {
+    "sparse": (3, (0, 5, 9, 6, 4, 13, 10, 14, 12, 11, 2, 7, 8, 1, 15, 3)),
+    "mid": (8, (0, 9, 8, 5, 12, 6, 11, 14, 15, 3, 10, 4, 13, 7, 2, 1)),
+    "dense": (13, (0, 4, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 15, 12, 14)),
+    "Q4": (7, (0, 1, 2, 4, 8, 3, 5, 6, 9, 10, 12, 7, 11, 13, 14, 15)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [("sparse", random_graph(16, 0.15, 1700)), ("mid", random_graph(16, 0.5, 1701)),
+     ("dense", random_graph(16, 0.85, 1702)), ("Q4", hypercube(4))],
+)
+def test_pinned_bandwidth_layouts_at_n16(name, g):
+    assert bandwidth(g, cap=16) == PINNED_BW[name]
+
+
 def test_bandwidth_witness_lex_smallest():
     # identity layout is optimal for a path, and it is the lexicographic minimum
     assert bandwidth(path(6))[1] == (0, 1, 2, 3, 4, 5)
