@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closed_forms import R_rec, bound_thm6
-from .errors import WidthlabError
+from .errors import SizeLimitExceeded, WidthlabError
 from .graph import (
     Graph,
+    _number,
     complete,
     complete_binary_tree,
     hypercube,
@@ -25,9 +26,13 @@ from .graph import (
 )
 from .rng import SplitMix64
 from .separators import chordal_clique_separator, min_balanced_separator, pad_separator
-from .solvers import cycle_rank, separator_ranking, verify_chain
+from .solvers import PARAMS, cycle_rank, separator_ranking, verify_chain
 
 DENSITY_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# `run_corpus` refuses larger requests before it draws a graph.  Above the
+# smallest default cap of `verify_chain`, a graph yields only an error record.
+CORPUS_N_MAX = min(param.cap for param in PARAMS.values())
+CORPUS_COUNT_MAX = 10_000
 
 
 def random_corpus(count: int, n_max: int, seed: int) -> list[tuple[str, Graph]]:
@@ -148,14 +153,20 @@ def run_corpus(count: int, n_max: int, seed: int, progress=None) -> list[CorpusR
 
     The corpus is `count` random graphs, count//2 random trees, and
     count//2 random chordal graphs (width <= 3), all seeded from `seed`,
-    plus the named families.  Records are emitted in input order.
+    plus the named families.  Records are emitted in input order.  A
+    count above CORPUS_COUNT_MAX or an n_max above CORPUS_N_MAX is refused.
     """
+    if count > CORPUS_COUNT_MAX or n_max > CORPUS_N_MAX:
+        raise SizeLimitExceeded(
+            f"corpus with count = {_number(count)}, n_max = {_number(n_max)} exceeds the caps "
+            f"count <= {CORPUS_COUNT_MAX}, n_max <= {CORPUS_N_MAX}"
+        )
     entries: list[tuple[str, str, Graph]] = []
     entries.extend(("random", fam, g) for fam, g in random_corpus(count, n_max, seed))
     entries.extend(("tree", fam, g) for fam, g in tree_corpus(count // 2, n_max, seed + 1))
     entries.extend(
         ("chordal", fam, g)
-        for fam, g in chordal_corpus(count // 2, min(n_max, 12), 3, seed + 2)
+        for fam, g in chordal_corpus(count // 2, n_max, 3, seed + 2)
     )
     if count > 0:
         entries.extend(("named", fam, g) for fam, g in named_families())

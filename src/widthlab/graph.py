@@ -99,16 +99,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
-def neighbourhood_tables(g: Graph) -> tuple[int, list[int], list[int], list[int]]:
-    """(w, t0, t1, t2): the union of the neighbourhoods of a vertex set S in
-    three lookups, N(S) = t0[S & m] | t1[(S >> w) & m] | t2[S >> 2w] with
-    m = 2^w - 1 and w = max(1, ceil(n / 3)).  Built once per graph, on
-    first use; equality and hashing ignore it."""
+def neighbourhood_tables(g: Graph) -> tuple[int, list[int], list[int]]:
+    """(w, lo, hi): the union of the neighbourhoods of a vertex set S in
+    two lookups, N(S) = lo[S & m] | hi[S >> w] with m = 2^w - 1 and
+    w = ceil(n / 2).  Built once per graph, on first use; equality and
+    hashing ignore it."""
     if g._neighbourhood_tables is None:
-        adj, w = g.adj_bits, max(1, -(-g.n // 3))
+        adj, w = g.adj_bits, -(-g.n // 2)
         parts = []
-        for base in (0, w, 2 * w):
-            t = [0] * (1 << max(0, min(w, g.n - base)))
+        for base in (0, w):
+            t = [0] * (1 << min(w, g.n - base))
             for b in range(1, len(t)):
                 low = b & -b
                 t[b] = t[b ^ low] | adj[base + low.bit_length() - 1]
@@ -220,14 +220,14 @@ def _find_hole(g: Graph) -> tuple[int, ...]:
                 if g.has_edge(u, w):
                     continue
                 allowed = g.full_mask & ~(1 << v) & ~(g.adj_bits[v] & ~(1 << u) & ~(1 << w))
-                if not ((reach_mask(g, u, allowed) >> w) & 1):
-                    continue
                 path = _shortest_path(g, u, w, allowed)
-                return (v,) + tuple(path)
+                if path is not None:
+                    return (v,) + tuple(path)
     raise AssertionError("no hole found in a graph that failed the PEO test")
 
 
-def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> list[int]:
+def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> list[int] | None:
+    """A shortest src-dst path inside `allowed`, or None if there is none."""
     parent = {src: -1}
     frontier = [src]
     while frontier:
@@ -243,7 +243,7 @@ def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> list[int]:
                         return path[::-1]
                     nxt.append(w)
         frontier = nxt
-    raise AssertionError("no path despite reachability check")
+    return None
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...]]:

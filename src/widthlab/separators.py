@@ -210,13 +210,13 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytea
     check_table_size("separator_number", n, SEPARATOR_TABLE_MAX_N)
     f = bytearray(1 << n)
     lc = bytearray(1 << n)
-    w, t0, t1, t2 = neighbourhood_tables(g)
-    m, w2 = (1 << w) - 1, 2 * w
+    w, lo, hi = neighbourhood_tables(g)
+    m = (1 << w) - 1
     for s_mask in range(1, 1 << n):
         comp, grown = 0, s_mask & -s_mask
         while grown != comp:
             comp = grown
-            grown = (t0[comp & m] | t1[comp >> w & m] | t2[comp >> w2] | comp) & s_mask
+            grown = (lo[comp & m] | hi[comp >> w] | comp) & s_mask
         lc[s_mask] = max(comp.bit_count(), lc[s_mask ^ comp])
         size = s_mask.bit_count()
         if lc[s_mask] <= _limit(size, strict):
@@ -252,6 +252,7 @@ def separator_number_with_witness(
     enumeration order (decreasing |Q|, then ascending bitmask), and X is
     the minimum-separator witness inside it: the first set of that size
     whose survivors the largest-component table shows to be balanced.
+    X is re-checked by a walk over the survivors that reads no table.
     """
     if g.n > cap:
         raise SizeLimitExceeded(f"separator_number: n = {g.n} > cap {cap}")
@@ -271,6 +272,8 @@ def separator_number_with_witness(
                 best_q = q_mask
     largest = _limit(best_q.bit_count() - best, strict)
     x_mask = next(x for x in _subsets(best_q, best) if lc[best_q ^ x] <= largest)
+    if not _balanced(g, best_q ^ x_mask, strict):
+        raise InvariantViolation(f"separator witness {bits_of(x_mask)} does not balance Q")
     return best, {"q": list(bits_of(best_q)), "x": list(bits_of(x_mask))}
 
 

@@ -111,8 +111,8 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
     if g.n == 0:
         return 0, Ranking({})
     table = bytearray(1 << g.n)
-    w, t0, t1, t2 = neighbourhood_tables(g)
-    m, w2 = (1 << w) - 1, 2 * w
+    w, lo, hi = neighbourhood_tables(g)
+    m = (1 << w) - 1
 
     def rank_any(mask: int) -> int:
         if mask & (mask - 1) == 0:
@@ -123,7 +123,7 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
         comp, grown = 0, mask & -mask
         while grown != comp:
             comp = grown
-            grown = (t0[comp & m] | t1[comp >> w & m] | t2[comp >> w2] | comp) & mask
+            grown = (lo[comp & m] | hi[comp >> w] | comp) & mask
         if comp != mask:
             r = max(rank_any(comp), rank_any(mask ^ comp))
         else:
@@ -256,8 +256,8 @@ def _treewidth_table(g: Graph, ub: int) -> bytearray:
     component is grown layer by layer through `neighbourhood_tables`, once
     per set, and the walk's last lookup is its whole neighbourhood."""
     adj, full = g.adj_bits, g.full_mask
-    w, t0, t1, t2 = neighbourhood_tables(g)
-    m, w2 = (1 << w) - 1, 2 * w
+    w, lo, hi = neighbourhood_tables(g)
+    m = (1 << w) - 1
     tw = bytearray([ub + 1]) * (full + 1)
     tw[0] = 0
     for done in range(full + 1):
@@ -271,7 +271,7 @@ def _treewidth_table(g: Graph, ub: int) -> bytearray:
             comp, grown = 0, rest & -rest
             while grown != comp:
                 comp = grown
-                reach = t0[comp & m] | t1[comp >> w & m] | t2[comp >> w2]
+                reach = lo[comp & m] | hi[comp >> w]
                 grown = (reach | comp) & done
             comps.append((comp, reach & outside))
             rest &= ~comp
@@ -344,13 +344,13 @@ def treewidth(g: Graph, cap: int = TW_CAP) -> tuple[int, tuple[int, ...]]:
     full = g.full_mask
     tw = _treewidth_table(g, eliminate_and_measure(g, _min_fill_order(g)))
     value = tw[full]
-    w, t0, t1, t2 = neighbourhood_tables(g)
+    w, lo, hi = neighbourhood_tables(g)
     m = (1 << w) - 1
 
     def attains(s_mask: int, low: int) -> bool:
         # the fill degree of v: N(C) - S, C the component of v within S
         comp = reach_mask(g, low.bit_length() - 1, s_mask)
-        d = ((t0[comp & m] | t1[comp >> w & m] | t2[comp >> 2 * w]) & ~s_mask).bit_count()
+        d = ((lo[comp & m] | hi[comp >> w]) & ~s_mask).bit_count()
         return max(tw[s_mask ^ low], d) == tw[s_mask]
 
     order = _walk_back(full, attains)
@@ -384,10 +384,9 @@ def eliminate_and_measure(g: Graph, order: tuple[int, ...]) -> int:
 
 def _boundary(g: Graph, s_mask: int) -> int:
     """Vertices of S with a neighbour outside S: |S & N(V - S)|."""
-    w, t0, t1, t2 = neighbourhood_tables(g)
-    m = (1 << w) - 1
+    w, lo, hi = neighbourhood_tables(g)
     out = g.full_mask ^ s_mask
-    return (s_mask & (t0[out & m] | t1[out >> w & m] | t2[out >> 2 * w])).bit_count()
+    return (s_mask & (lo[out & (1 << w) - 1] | hi[out >> w])).bit_count()
 
 
 def _min_boundary_layout(g: Graph, fewest_new: bool = False) -> tuple[int, ...]:
@@ -418,14 +417,14 @@ def _pathwidth_table(g: Graph, ub: int) -> bytearray:
     full = g.full_mask
     pw = bytearray([ub + 1]) * (full + 1)
     pw[0] = 0
-    w, t0, t1, t2 = neighbourhood_tables(g)
-    m, w2 = (1 << w) - 1, 2 * w
+    w, lo, hi = neighbourhood_tables(g)
+    m = (1 << w) - 1
     for done in range(full + 1):
         val = pw[done]  # the best over predecessors, before the boundary of `done`
         if val > ub:
             continue
         out = full ^ done
-        b = (done & (t0[out & m] | t1[out >> w & m] | t2[out >> w2])).bit_count()
+        b = (done & (lo[out & m] | hi[out >> w])).bit_count()
         if b > ub:
             pw[done] = ub + 1
             continue
@@ -473,54 +472,21 @@ def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
 
 
 def separation_profile(g: Graph, order: tuple[int, ...]) -> int:
-    """Maximum boundary size over the prefixes of a layout."""
+    """Maximum boundary size over the prefixes of a layout.  Walked from
+    the end, each prefix is V minus the suffix seen so far, and its
+    boundary is |prefix & N(suffix)|, so no table is built and any n is fine."""
     if sorted(order) != list(range(g.n)):
         raise DomainError("order must be a permutation of the vertices")
-    prefix = 0
-    worst = 0
-    for v in order:
-        prefix |= 1 << v
-        worst = max(worst, _boundary(g, prefix))
+    suffix = reach = worst = 0
+    for v in reversed(order):
+        worst = max(worst, ((g.full_mask ^ suffix) & reach).bit_count())
+        suffix |= 1 << v
+        reach |= g.adj_bits[v]
     return worst
 
 
 # ---------------------------------------------------------------------------
 # Bandwidth (iterative-deepening layout search)
-
-
-def _bandwidth_lower_bound(g: Graph) -> int:
-    if g.num_edges() == 0:
-        return 0
-    lb = max(-(g.degree(v) // -2) for v in range(g.n))
-    for comp in component_masks(g):
-        vs = bits_of(comp)
-        if len(vs) < 2:
-            continue
-        diam = _diameter(g, vs, comp)
-        lb = max(lb, -((len(vs) - 1) // -diam))
-    return lb
-
-
-def _diameter(g: Graph, vs: tuple[int, ...], comp: int) -> int:
-    diam = 1
-    for src in vs:
-        dist = 0
-        seen = 1 << src
-        frontier = seen
-        while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                nxt |= g.adj_bits[low.bit_length() - 1]
-            nxt &= comp & ~seen
-            if nxt:
-                dist += 1
-                seen |= nxt
-            frontier = nxt
-        diam = max(diam, dist)
-    return diam
 
 
 def _layout_stretch(g: Graph, order: tuple[int, ...]) -> int:
@@ -574,19 +540,21 @@ def _bandwidth_feasible(g: Graph, b: int) -> tuple[int, ...] | None:
 def bandwidth(g: Graph, cap: int = BW_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact bandwidth with the lexicographically smallest optimal layout.
 
-    Iterative deepening on the stretch bound b, from an exact lower bound
-    to the first feasible b; stretch n - 1 is always feasible, so the loop
-    ends.  Each b is decided by `_bandwidth_feasible`, whose deadline prune
-    cuts only infeasible branches of an ascending-id search, so the witness
-    is the layout an unpruned search would return: the lexicographically
-    smallest optimal one.
+    Iterative deepening on the stretch bound b, from ceil(max degree / 2)
+    (a vertex has at most 2b positions within b of it) to the first
+    feasible b; stretch n - 1 is always feasible, so the loop ends.  Each
+    b is decided by `_bandwidth_feasible`, whose deadline prune cuts only
+    infeasible branches of an ascending-id search, so the witness is the
+    layout an unpruned search would return: the lexicographically smallest
+    optimal one.  No diameter bound is taken: the deadline prune refutes
+    the rounds it would skip about as fast as it would be computed.
     """
     n = g.n
     if n > cap:
         raise SizeLimitExceeded(f"bandwidth: n = {n} > cap {cap}")
     if n == 0:
         return 0, ()
-    b = _bandwidth_lower_bound(g)
+    b = -(-max(map(int.bit_count, g.adj_bits)) // 2)
     while (layout := _bandwidth_feasible(g, b)) is None:
         b += 1
     if _layout_stretch(g, layout) != b and g.num_edges() > 0:

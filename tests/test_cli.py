@@ -6,7 +6,9 @@ import pytest
 
 from widthlab.audit import AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX
 from widthlab.cli import main
+from widthlab import corpus as corpus_mod
 from widthlab.closed_forms import TABLE_ENTRIES_MAX, TABLE_K_MAX, TABLE_N_MAX, TABLE_R_MAX
+from widthlab.corpus import CORPUS_COUNT_MAX, CORPUS_N_MAX
 from widthlab.graph import GENERATOR_CAP
 from widthlab.separators import MIN_SEPARATOR_CAP, SEPARATOR_TABLE_MAX_N
 from widthlab.solvers import PARAMS, PW_TABLE_MAX_N, RANK_TABLE_MAX_N, TW_TABLE_MAX_N
@@ -230,6 +232,20 @@ def test_corpus_deterministic_bytes(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n-max", str(CORPUS_N_MAX + 1)],
+    ["--count", str(CORPUS_COUNT_MAX + 1)],
+])
+def test_corpus_refuses_oversized_requests_exit4(capsys, monkeypatch, argv):
+    def drawn(*args):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(corpus_mod, "random_graph", drawn)
+    code, out, err = run(capsys, "corpus", *argv, "--seed", "1")
+    assert code == 4
+    assert out == "" and "size limit" in err and "Traceback" not in err
+
+
 def test_corpus_small_run(capsys):
     code, out, _ = run(capsys, "corpus", "--count", "4", "--n-max", "6", "--seed", "9")
     payload = json.loads(out)
@@ -423,6 +439,9 @@ def test_readme_caps_match_registry():
     assert table[3].startswith(f"{TABLE_ENTRIES_MAX} ")
     audit = bounds["`audit`"]
     assert [int(x) for x in audit[:3]] == [AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX]
+    corpus = bounds["`corpus`"]
+    assert int(corpus[1]) == CORPUS_N_MAX
+    assert corpus[3].startswith(f"{CORPUS_COUNT_MAX} ")
 
 
 def test_readme_table_ceilings_match_solvers():

@@ -25,6 +25,7 @@ from widthlab import (
     star,
     treewidth,
 )
+from widthlab import separators as separators_mod
 from widthlab.graph import bits_of, component_masks, maximal_cliques_chordal
 from widthlab.separators import (
     SEPARATOR_TABLE_MAX_N,
@@ -344,3 +345,12 @@ def test_pinned_separator_witnesses():
     for k, levels in PINNED_RANKING_LEVELS.items():
         ranking = separator_ranking(g, k)
         assert [ranking.level[v] for v in range(g.n)] == levels
+
+
+def test_separator_witness_is_rechecked_without_tables(monkeypatch):
+    # X is read off the largest-component table; a balance walk that
+    # rejects it must stop the call.
+    monkeypatch.setattr(separators_mod, "_balanced", lambda g, survivors, strict: False)
+    for strict in (False, True):
+        with pytest.raises(InvariantViolation):
+            separator_number_with_witness(path(5), strict=strict)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import (
     DomainError,
@@ -28,7 +30,7 @@ from widthlab import (
     treewidth,
     verify_chain,
 )
-from widthlab.separators import SUBSET_TABLE_BUDGET
+from widthlab.separators import SUBSET_TABLE_BUDGET, _balanced
 from widthlab.solvers import (
     PARAMS,
     PW_TABLE_MAX_N,
@@ -39,6 +41,7 @@ from widthlab.solvers import (
 )
 
 from .conftest import (
+    _oracle_boundary,
     oracle_bandwidth,
     oracle_cycle_rank,
     oracle_pathwidth,
@@ -225,6 +228,42 @@ def test_pathwidth_matches_bruteforce(seed):
     value, order = pathwidth(g)
     assert value == oracle_pathwidth(g)
     assert separation_profile(g, order) == value
+
+
+@st.composite
+def _graph_and_layout(draw):
+    n = draw(st.integers(0, 40))
+    g = random_graph(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**64 - 1)))
+    return g, tuple(draw(st.permutations(range(n))))
+
+
+@given(_graph_and_layout())
+@settings(max_examples=80, deadline=None)
+def test_separation_profile_matches_prefix_walk(g_and_order):
+    g, order = g_and_order
+    prefix = worst = 0
+    for v in order:
+        prefix |= 1 << v
+        worst = max(worst, _oracle_boundary(g.adj_bits, prefix))
+    assert separation_profile(g, order) == worst
+
+
+def test_separation_profile_has_no_size_ceiling():
+    g = path(100)
+    assert separation_profile(g, tuple(range(100))) == 1
+    assert g._neighbourhood_tables is None
+
+
+def test_replays_build_no_tables():
+    # The checks that re-validate witnesses walk adj_bits, not the tables
+    # the solvers fill with.
+    g = random_graph(12, 0.4, 1750)
+    order = tuple(range(12))
+    eliminate_and_measure(g, order)
+    separation_profile(g, order)
+    is_valid_ranking(g, Ranking({v: v + 1 for v in order}))
+    _balanced(g, g.full_mask, strict=False)
+    assert g._neighbourhood_tables is None
 
 
 @pytest.mark.parametrize(
