@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from widthlab import corpus as corpus_mod
 from widthlab.audit import AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX
 from widthlab.cli import main
-from widthlab import corpus as corpus_mod
 from widthlab.closed_forms import TABLE_ENTRIES_MAX, TABLE_K_MAX, TABLE_N_MAX, TABLE_R_MAX
 from widthlab.corpus import CORPUS_COUNT_MAX, CORPUS_N_MAX
 from widthlab.graph import GENERATOR_CAP
@@ -237,7 +237,7 @@ def test_corpus_deterministic_bytes(capsys, tmp_path):
     ["--count", str(CORPUS_COUNT_MAX + 1)],
 ])
 def test_corpus_refuses_oversized_requests_exit4(capsys, monkeypatch, argv):
-    def drawn(*args):
+    def drawn(*args, **kwargs):
         raise AssertionError("a graph was drawn")
 
     monkeypatch.setattr(corpus_mod, "random_graph", drawn)
