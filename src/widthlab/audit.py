@@ -24,7 +24,7 @@ from .closed_forms import (
     harper_bandwidth,
 )
 from .errors import DomainError, SizeLimitExceeded
-from .graph import hypercube
+from .graph import _number, hypercube
 
 CLAIM_IDS = ("Eq1", "C6.1", "C6.2", "C6.3", "T6-equality", "T12-harper")
 
@@ -85,8 +85,8 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
         raise DomainError("audit bounds must be >= 1")
     if k_max > AUDIT_K_MAX or r_max > AUDIT_R_MAX or n_max > AUDIT_N_MAX:
         raise SizeLimitExceeded(
-            f"audit bounds k_max={k_max}, r_max={r_max}, n_max={n_max} exceed the caps "
-            f"{AUDIT_K_MAX}, {AUDIT_R_MAX}, {AUDIT_N_MAX}"
+            f"audit bounds k_max={_number(k_max)}, r_max={_number(r_max)}, n_max={_number(n_max)} "
+            f"exceed the caps {AUDIT_K_MAX}, {AUDIT_R_MAX}, {AUDIT_N_MAX}"
         )
     findings: list[AuditFinding] = []
 
@@ -186,10 +186,10 @@ def hypercube_report(d: int, deep: bool = False) -> dict:
     n at small d.
     """
     if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+        raise DomainError(f"d must be >= 1, got {_number(d)}")
     if d > 4 or (d == 4 and not deep):
         raise SizeLimitExceeded(
-            f"hypercube report supports d <= 3 (d = 4 with deep enabled); got d = {d}"
+            f"hypercube report supports d <= 3 (d = 4 with deep enabled); got d = {_number(d)}"
         )
     from .solvers import RANK_CAP_DEEP, bandwidth, cycle_rank, pathwidth
 

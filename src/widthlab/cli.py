@@ -40,7 +40,7 @@ from .errors import (
     SizeLimitExceeded,
     WidthlabError,
 )
-from .graph import parse_edge_list, serialize_edge_list
+from .graph import _number, _quote, parse_edge_list, serialize_edge_list
 from .separators import (
     MIN_SEPARATOR_CAP,
     check_separator,
@@ -168,9 +168,9 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
         else:
             raise ValueError
     except ValueError:
-        raise UsageError(f"bad {what} range {text!r}; expected 'a' or 'a:b'")
+        raise UsageError(f"bad {what} range {_quote(text)}; expected 'a' or 'a:b'")
     if a > b:
-        raise UsageError(f"empty {what} range {text!r}")
+        raise UsageError(f"empty {what} range {_quote(text)}")
     return a, b
 
 
@@ -291,7 +291,8 @@ def cmd_table(args) -> Output:
     size = (k_hi - k_lo + 1) * (hi + 1)
     if k_hi > TABLE_K_MAX or hi > x_max or size > TABLE_ENTRIES_MAX:
         raise SizeLimitExceeded(
-            f"table {args.what} with k <= {k_hi}, {x_name} <= {hi} ({size} entries) exceeds "
+            f"table {args.what} with k <= {_number(k_hi)}, {x_name} <= {_number(hi)} "
+            f"({_number(size)} entries) exceeds "
             f"the caps k <= {TABLE_K_MAX}, {x_name} <= {x_max}, {TABLE_ENTRIES_MAX} entries"
         )
     entries = []

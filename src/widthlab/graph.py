@@ -185,27 +185,6 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
 # Chordality
 
 
-def lex_bfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS visit order; ties broken by smallest id."""
-    n = g.n
-    label = [()] * n
-    visited = [False] * n
-    order = []
-    for i in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best == -1 or label[v] > label[best]):
-                best = v
-        visited[best] = True
-        order.append(best)
-        for w in bits_of(g.adj_bits[best]):
-            if not visited[w]:
-                # Larger labels sort later; prepend of (n - i) keeps
-                # lexicographic comparison on plain tuples correct.
-                label[w] = label[w] + (n - i,)
-    return order
-
-
 def _find_hole(g: Graph) -> tuple[int, ...]:
     """Some induced cycle of length >= 4 in a non-chordal graph.
 
@@ -250,25 +229,27 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...]]:
     """Chordality test with a certificate.
 
     Returns (True, perfect elimination ordering) or (False, hole), the
-    hole being an induced cycle of length >= 4 in traversal order.  The
-    test runs Lex-BFS and checks the reversed visit order for the
-    perfect-elimination property.
+    hole being an induced cycle of length >= 4 in traversal order.  One
+    maximum cardinality search (Tarjan & Yannakakis, SIAM J. Comput.
+    1984) visits next the unvisited vertex with the most visited
+    neighbours, the smallest id on a tie, and its reverse is a perfect
+    elimination ordering iff the graph is chordal.  The check runs at
+    each visit: the neighbours visited before v, less the one p visited
+    last, must all be adjacent to p.
     """
-    if g.n == 0:
-        return True, ()
-    order = lex_bfs_order(g)[::-1]
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for v in order:
-        later = [u for u in bits_of(g.adj_bits[v]) if pos[u] > pos[v]]
-        if not later:
-            continue
-        p = min(later, key=lambda u: pos[u])
-        for w in later:
-            if w != p and not g.has_edge(p, w):
+    adj = g.adj_bits
+    order: list[int] = []
+    seen = 0
+    for _ in range(g.n):
+        v = max(bits_of(g.full_mask & ~seen), key=lambda u: (adj[u] & seen).bit_count())
+        before = adj[v] & seen
+        if before:
+            p = next(u for u in reversed(order) if before >> u & 1)
+            if before & ~adj[p] & ~(1 << p):
                 return False, _find_hole(g)
-    return True, tuple(order)
+        order.append(v)
+        seen |= 1 << v
+    return True, tuple(reversed(order))
 
 
 def maximal_cliques_chordal(g: Graph, peo: tuple[int, ...] | None = None) -> list[int]:
@@ -282,13 +263,11 @@ def maximal_cliques_chordal(g: Graph, peo: tuple[int, ...] | None = None) -> lis
         ok, peo = is_chordal(g)
         if not ok:
             raise DomainError("graph is not chordal")
-    pos = [0] * g.n
-    for i, v in enumerate(peo):
-        pos[v] = i
     candidates = set()
-    for v in peo:
-        later = mask_of(u for u in bits_of(g.adj_bits[v]) if pos[u] > pos[v])
-        candidates.add(later | (1 << v))
+    later = 0
+    for v in reversed(peo):
+        candidates.add(g.adj_bits[v] & later | 1 << v)
+        later |= 1 << v
     cliques = [
         c
         for c in candidates

@@ -194,17 +194,22 @@ def pad_separator(g: Graph, x: Iterable[int]) -> tuple[int, ...]:
 # Balanced separator number
 
 
-def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytearray]:
-    """(f, lc): f[S] = largest balanced survivor set contained in S, and
-    lc[S] = largest component of G[S], for every S.
+def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytearray, int]:
+    """(f, lc, Q): for every S, f[S] = largest balanced survivor set
+    contained in S and lc[S] = largest component of G[S]; Q is the
+    hardest induced subgraph.
 
-    f satisfies f[S] = |S| if S itself is balanced, else max over
-    one-vertex removals, a scan that stops at |S| - 1, the most any
-    removal leaves; minimum-separator size of G[Q] is |Q| - f[Q].
-    S is balanced iff lc[S] is within the limit.  With C the component
-    of the lowest vertex of S, walked layer by layer through
+    f[S] = |S| if S is balanced, else the max over one-vertex removals,
+    a scan that stops at |S| - 1, the most any removal leaves.  S is
+    balanced iff lc[S] is within the limit.  With C the component of the
+    lowest vertex of S, walked layer by layer through
     `neighbourhood_tables`, lc[S] = max(|C|, lc[S - C]), and S - C < S
     is already filled.
+
+    Q is read during the fill, so no second sweep over the subsets runs.
+    G[S] needs a separator of |S| - f[S] vertices; a later mask replaces
+    Q = V only with a larger need, or an equal one and a larger |S|,
+    which keeps the first maximiser in decreasing |Q|, then ascending mask.
     """
     n = g.n
     check_table_size("separator_number", n, SEPARATOR_TABLE_MAX_N)
@@ -212,6 +217,7 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytea
     lc = bytearray(1 << n)
     w, lo, hi = neighbourhood_tables(g)
     m = (1 << w) - 1
+    q, q_need, q_size = g.full_mask, 0, n
     for s_mask in range(1, 1 << n):
         comp, grown = 0, s_mask & -s_mask
         while grown != comp:
@@ -233,7 +239,10 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytea
                     break
             rest ^= low
         f[s_mask] = best
-    return f, lc
+        need = size - best
+        if need > q_need or need == q_need and size > q_size:
+            q, q_need, q_size = s_mask, need, size
+    return f, lc, q
 
 
 def separator_number(g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER_CAP) -> int:
@@ -256,21 +265,9 @@ def separator_number_with_witness(
     """
     if g.n > cap:
         raise SizeLimitExceeded(f"separator_number: n = {g.n} > cap {cap}")
-    if g.n == 0:
-        return 0, {"q": [], "x": []}
-    f, lc = _max_balanced_subset_table(g, strict)
-    best = -1
-    best_q = 0
-    for size in range(g.n, -1, -1):
-        limit = size if strict else size - 1
-        if limit <= best:
-            break
-        for q_mask in _subsets(g.full_mask, size):
-            need = size - f[q_mask]
-            if need > best:
-                best = need
-                best_q = q_mask
-    largest = _limit(best_q.bit_count() - best, strict)
+    f, lc, best_q = _max_balanced_subset_table(g, strict)
+    best = best_q.bit_count() - f[best_q]
+    largest = _limit(f[best_q], strict)
     x_mask = next(x for x in _subsets(best_q, best) if lc[best_q ^ x] <= largest)
     if not _balanced(g, best_q ^ x_mask, strict):
         raise InvariantViolation(f"separator witness {bits_of(x_mask)} does not balance Q")

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from widthlab import InvariantViolation
 from widthlab import corpus as corpus_mod
+from widthlab import solvers as solvers_mod
 from widthlab.audit import AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX
 from widthlab.cli import main
 from widthlab.closed_forms import TABLE_ENTRIES_MAX, TABLE_K_MAX, TABLE_N_MAX, TABLE_R_MAX
@@ -345,7 +347,25 @@ def test_verify_chain_text_format(capsys, tmp_path):
     assert "thm9_ok  = true" in out and "thm2_ok  = true" in out
 
 
+def test_verify_chain_text_format_prints_flags(capsys, tmp_path):
+    f = write_graph(tmp_path, "3 0\n")
+    code, out, _ = run(capsys, "verify-chain", "--input", f, "--format", "text")
+    assert code == 0
+    assert out.endswith("flags    = disconnected-input, thm9-bound-evaluated-at-k=1\n")
+
+
 # --- error contract ------------------------------------------------------------
+
+
+def test_invariant_violation_exit1(capsys, tmp_path, monkeypatch):
+    def broken(g, cap):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(solvers_mod, "treewidth", broken)
+    f = write_graph(tmp_path, PATH8)
+    code, out, err = run(capsys, "compute", "--input", f, "--params", "tw")
+    assert code == 1
+    assert out == "" and err == "error: invariant violated: planted\n"
 
 
 def test_non_ascii_digit_field_exit3(capsys, tmp_path):
@@ -411,6 +431,26 @@ def test_table_and_audit_refuse_oversized_requests_exit4(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == "" and "size limit" in err
+
+
+HUGE = "9" * 4000
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["table", "R", "--k", f"1:{HUGE}", "--n", f"0:{HUGE}"], 4),
+    (["table", "N", "--k", "1:3", "--r", f"0:{HUGE}"], 4),
+    (["table", "R", "--k", f"{HUGE}:3", "--n", "0"], 2),
+    (["audit", "--k-max", HUGE[:3000]], 4),
+    (["audit", "--r-max", HUGE[:3000]], 4),
+    (["audit", "--n-max", HUGE[:3000]], 4),
+    (["hypercube-report", "--d", HUGE[:3000]], 4),
+    (["hypercube-report", f"--d=-{HUGE[:3000]}"], 2),
+])
+def test_refusals_shorten_huge_numbers(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err) < 300
 
 
 def test_table_negative_range_exit2(capsys):

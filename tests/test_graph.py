@@ -242,6 +242,18 @@ def test_is_chordal_examples():
     assert ok
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_is_chordal_returns_a_perfect_elimination_ordering(width):
+    assert is_chordal(Graph(0)) == (True, ())
+    for seed in range(10):
+        g = random_chordal(14, width, 4100 + seed)
+        ok, peo = is_chordal(g)
+        assert ok and sorted(peo) == list(range(g.n))
+        for i, v in enumerate(peo):
+            later = [u for u in peo[i + 1 :] if g.has_edge(u, v)]
+            assert all(g.has_edge(a, b) for a, b in combinations(later, 2))
+
+
 def test_hole_follows_ascending_id_order():
     # The shortest path that closes the hole takes the smallest-id
     # neighbor first; an order other than ascending ids gave (3, 6, 8, 5, 9)

@@ -273,9 +273,33 @@ def test_balance_kernel_matches_oracle(i):
     for strict in (False, True):
         for s_mask in range(1 << g.n):
             assert _balanced(g, s_mask, strict) == oracle_balanced(adj, bits_of(s_mask), (), strict)
-        f, lc = _max_balanced_subset_table(g, strict)
+        f, lc, _ = _max_balanced_subset_table(g, strict)
         assert list(f) == oracle_max_balanced_subset_table(g, strict)
         assert list(lc) == largest
+
+
+def _first_hardest_by_scan(g, f):
+    """The first maximiser of |Q| - f[Q] in decreasing |Q|, then
+    ascending mask, by a scan over every subset."""
+    best, best_q = -1, 0
+    for size in range(g.n, -1, -1):
+        for q_mask in _subsets(g.full_mask, size):
+            if size - f[q_mask] > best:
+                best, best_q = size - f[q_mask], q_mask
+    return best_q
+
+
+@pytest.mark.parametrize("i", range(len(BALANCE_GRAPHS)))
+def test_fill_records_the_first_hardest_subgraph(i):
+    g = BALANCE_GRAPHS[i]
+    for strict in (False, True):
+        f, _, q = _max_balanced_subset_table(g, strict)
+        assert q == _first_hardest_by_scan(g, f)
+
+
+def test_hardest_subgraph_when_every_set_balances_or_only_singletons_fail():
+    assert separator_number_with_witness(Graph(3), False) == (0, {"q": [0, 1, 2], "x": []})
+    assert separator_number_with_witness(Graph(3), True) == (1, {"q": [0], "x": [0]})
 
 
 def test_subsets_ascend_by_mask():
