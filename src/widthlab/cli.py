@@ -138,13 +138,13 @@ def _effective_cap(args, default: int, deep_default: int | None = None) -> int:
         try:
             cap = int(env)
         except ValueError:
-            raise UsageError(f"{ENV_CAP} must be an integer, got {env!r}")
+            raise UsageError(f"{ENV_CAP} must be an integer, got {_quote(env)}")
     else:
         cap = deep_default if args.deep and deep_default is not None else default
     if cap > default:
         print(
-            f"warning: cap raised {default} -> {cap}; expect on the order of "
-            f"2^{cap} subset states",
+            f"warning: cap raised {default} -> {_number(cap)}; expect on the order of "
+            f"2^{_number(cap)} subset states",
             file=sys.stderr,
         )
     return cap
@@ -228,7 +228,7 @@ def cmd_compute(args) -> Output:
     wanted = [p.strip() for p in args.params.split(",") if p.strip()]
     for p in wanted:
         if p not in PARAMS:
-            raise UsageError(f"unknown parameter {p!r}; choose from {','.join(PARAMS)}")
+            raise UsageError(f"unknown parameter {_quote(p)}; choose from {','.join(PARAMS)}")
     caps = _param_caps(args, wanted)
     values: dict = {}
     witnesses: dict = {}
@@ -460,6 +460,18 @@ def cmd_separator(args) -> Output:
 # Argument parsing
 
 
+def _typed(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """argparse `type` for an int or float option: argparse's own message
+    for a bad value, with the value shortened as in every other refusal."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:  # also an int past Python's int -> str digit limit
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {_quote(text)}") from None
+    return parse
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -467,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="output file (default stdout)")
     common.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="output format (default json; table defaults to csv)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap-n", type=int, default=None, dest="cap_n",
+    common.add_argument("--seed", type=_typed(int), default=0)
+    common.add_argument("--cap-n", type=_typed(int), default=None, dest="cap_n",
                         help=f"override solver size caps (env {ENV_CAP} is a weaker override)")
     common.add_argument("--deep", action="store_true",
                         help="enable d=4 hypercube report and raised bandwidth/rank caps")
@@ -478,11 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[common], help="generate a named graph family")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--width", type=int)
+    p.add_argument("--n", type=_typed(int))
+    p.add_argument("--k", type=_typed(int))
+    p.add_argument("--d", type=_typed(int))
+    p.add_argument("--p", type=_typed(float))
+    p.add_argument("--width", type=_typed(int))
     p.set_defaults(func=cmd_gen, config=())
 
     p = sub.add_parser("compute", parents=[common], help="compute width parameters")
@@ -503,22 +515,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table, config=("what", "k", "n", "r", "format"))
 
     p = sub.add_parser("audit", parents=[common], help="closed-form claims audit")
-    p.add_argument("--k-max", type=int, default=4, dest="k_max")
-    p.add_argument("--r-max", type=int, default=20, dest="r_max")
-    p.add_argument("--n-max", type=int, default=40, dest="n_max")
+    p.add_argument("--k-max", type=_typed(int), default=4, dest="k_max")
+    p.add_argument("--r-max", type=_typed(int), default=20, dest="r_max")
+    p.add_argument("--n-max", type=_typed(int), default=40, dest="n_max")
     p.set_defaults(func=cmd_audit, config=("k_max", "r_max", "n_max", "format"))
 
     p = sub.add_parser("corpus", parents=[common], help="seeded property-check corpus run")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--n-max", type=int, default=10, dest="n_max")
+    p.add_argument("--count", type=_typed(int), default=50)
+    p.add_argument("--n-max", type=_typed(int), default=10, dest="n_max")
     p.set_defaults(func=cmd_corpus, config=("count", "n_max", "seed", "format"))
 
     p = sub.add_parser("hypercube-report", parents=[common], help="hypercube width report")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_typed(int), required=True)
     p.set_defaults(func=cmd_hypercube_report, config=("d", "deep", "format"))
 
     p = sub.add_parser("rank", parents=[common], help="separator-based vertex ranking")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_typed(int), default=None)
     p.set_defaults(func=cmd_rank, config=("input", "k", "format", "cap_n"))
 
     p = sub.add_parser("separator", parents=[common], help="balanced separator certificates")

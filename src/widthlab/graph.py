@@ -8,6 +8,7 @@ functions accept and return plain iterables/tuples of vertex ids.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator
 
 from .errors import DomainError, MalformedInput, SizeLimitExceeded
@@ -38,7 +39,7 @@ def bits_of(mask: int) -> tuple[int, ...]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj_bits", "_full_mask", "_neighbourhood_tables")
+    __slots__ = ("n", "adj_bits", "full_mask", "_neighbourhood_tables")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -53,12 +54,8 @@ class Graph:
             bits[v] |= 1 << u
         self.n = n
         self.adj_bits = tuple(bits)
-        self._full_mask = (1 << n) - 1
+        self.full_mask = (1 << n) - 1
         self._neighbourhood_tables = None
-
-    @property
-    def full_mask(self) -> int:
-        return self._full_mask
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -348,8 +345,6 @@ def random_tree(n: int, seed: int) -> Graph:
     _check_size(n)
     if n <= 1:
         return Graph(n)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -358,8 +353,6 @@ def random_tree(n: int, seed: int) -> Graph:
     edges = []
     # Standard decode: repeatedly join the smallest remaining leaf to the
     # next sequence entry.
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in seq:

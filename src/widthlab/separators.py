@@ -159,14 +159,26 @@ def min_balanced_separator(
 
 
 def _pad_once_mask(g: Graph, universe: int, x_mask: int) -> int:
-    """Add the smallest-id vertex of a largest surviving component."""
-    survivors = universe & ~x_mask
-    comps = component_masks(g, survivors)
-    biggest = max(c.bit_count() for c in comps)
-    v_mask = min(
-        (c & -c) for c in comps if c.bit_count() == biggest
-    )
-    return x_mask | v_mask
+    """Add the smallest-id vertex of a largest surviving component.
+    Components come by smallest member, so `max` keeps the first largest."""
+    comp = max(component_masks(g, universe & ~x_mask), key=int.bit_count)
+    return x_mask | comp & -comp
+
+
+def padded_separator_mask(g: Graph, universe: int, k: int) -> int:
+    """Minimum balanced separator of G[universe], padded by `_pad_once_mask`
+    to exactly k < |universe| vertices, its balance re-checked after every
+    pad.  Raises InvalidSeparator if the minimum needs more than k."""
+    size, x_mask = min_balanced_separator_mask(g, universe, strict=False)
+    if size > k:
+        raise InvalidSeparator(
+            f"induced subgraph {bits_of(universe)} needs a separator of size {size} > k = {k}"
+        )
+    while x_mask.bit_count() < k:
+        x_mask = _pad_once_mask(g, universe, x_mask)
+        if not _balanced(g, universe & ~x_mask, strict=False):
+            raise InvariantViolation("padded separator lost balance")
+    return x_mask
 
 
 def pad_separator(g: Graph, x: Iterable[int]) -> tuple[int, ...]:
@@ -312,19 +324,15 @@ def chordal_clique_separator(g: Graph, cap: int = MIN_SEPARATOR_CAP) -> tuple[tu
             if sub == 0:
                 break
             sub = (sub - 1) & m
-    best_key = None
-    best_c = None
-    for c_mask in sorted(cliques):
+    keys = []
+    for c_mask in cliques:
         survivors = g.full_mask & ~c_mask
         biggest = max((c.bit_count() for c in component_masks(g, survivors)), default=0)
-        if biggest > _limit(survivors.bit_count(), strict=False):
-            continue
-        key = (biggest, c_mask.bit_count(), c_mask)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_c = c_mask
-    if best_c is None:
+        if biggest <= _limit(survivors.bit_count(), strict=False):
+            keys.append((biggest, c_mask.bit_count(), c_mask))
+    if not keys:
         raise InvariantViolation(
             f"no clique of order <= {omega - 1} is a balanced separator of this graph"
         )
+    best_c = min(keys)[2]
     return bits_of(best_c), check_separator(g, bits_of(best_c))

@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
-from .errors import DomainError, InvalidSeparator, InvariantViolation, SizeLimitExceeded
+from .errors import DomainError, InvariantViolation, SizeLimitExceeded
 from .graph import Graph, bits_of, component_masks, neighbourhood_tables, reach_mask
 from .separators import (
     SEPARATOR_NUMBER_CAP,
-    _balanced,
-    _pad_once_mask,
     check_table_size,
-    min_balanced_separator_mask,
+    padded_separator_mask,
     separator_number_with_witness,
 )
 
@@ -89,6 +87,20 @@ def is_valid_ranking(g: Graph, ranking: Ranking) -> tuple[bool, tuple[int, int] 
     return True, None
 
 
+def _rank_down(g: Graph, mask: int, top: int, pick: Callable[[int], int],
+               levels: dict[int, int]) -> None:
+    """Rank G[mask] top-down: the block pick(mask) takes the levels top,
+    top - 1, ... in ascending id order, and each component of G[mask]
+    minus the block recurses with the levels below them."""
+    block = pick(mask)
+    for i, v in enumerate(bits_of(block)):
+        if top - i < 1:
+            raise InvariantViolation("level budget exhausted")
+        levels[v] = top - i
+    for comp in component_masks(g, mask & ~block):
+        _rank_down(g, comp, top - block.bit_count(), pick, levels)
+
+
 # ---------------------------------------------------------------------------
 # Cycle rank
 
@@ -103,7 +115,8 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
     Deleting a vertex lowers cycle rank by at most one and never raises
     it, so the children of a connected set take two adjacent values, and
     the scan stops at the first child below the first one seen.  Every
-    table entry is exact, so reconstruction is unaffected.
+    table entry is exact, so reconstruction is unaffected: `_rank_down`
+    gives each component the top level, with a one-vertex block.
     """
     if g.n > cap:
         raise SizeLimitExceeded(f"cycle_rank: n = {g.n} > cap {cap}")
@@ -139,28 +152,22 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
 
     value = rank_any(g.full_mask)
 
-    levels: dict[int, int] = {}
-
-    def build(mask: int, budget: int) -> None:
-        for comp in component_masks(g, mask):
-            build_conn(comp, budget)
-
-    def build_conn(mask: int, budget: int) -> None:
+    def pick(mask: int) -> int:
+        # the smallest-id v of a connected S with r(S - v) = r(S) - 1
         if mask & (mask - 1) == 0:
-            levels[mask.bit_length() - 1] = budget
-            return
+            return mask
         target = rank_any(mask) - 1
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             if rank_any(mask ^ low) == target:
-                levels[low.bit_length() - 1] = budget
-                build(mask ^ low, budget - 1)
-                return
+                return low
         raise AssertionError("no vertex achieves the memoized optimum")
 
-    build(g.full_mask, value)
+    levels: dict[int, int] = {}
+    for comp in component_masks(g):
+        _rank_down(g, comp, value, pick, levels)
     ranking = Ranking(levels)
     ok, pair = is_valid_ranking(g, ranking)
     if not ok or ranking.height != value:
@@ -171,11 +178,12 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
 def separator_ranking(g: Graph, k: int, cap: int = RANK_CAP_DEEP) -> Ranking:
     """Ranking built from balanced separators of size exactly k.
 
-    Recursively: graphs with at most k vertices get distinct top levels;
-    otherwise a minimum balanced separator is padded to size exactly k,
-    its vertices take the k highest remaining levels, and the components
-    below recurse independently.  The result is valid and has height at
-    most R_k(n).  Raises InvalidSeparator if some recursive instance has
+    Built by `_rank_down`: graphs with at most k vertices get distinct
+    top levels; otherwise the block is `padded_separator_mask`, a minimum
+    balanced separator padded to size exactly k, its vertices take the k
+    highest remaining levels, and the components below recurse
+    independently.  The result is valid and has height at most R_k(n).
+    Raises InvalidSeparator if some recursive instance has
     no balanced separator of size <= k (that is, k < s(G)).
     """
     if k < 1:
@@ -186,32 +194,9 @@ def separator_ranking(g: Graph, k: int, cap: int = RANK_CAP_DEEP) -> Ranking:
         return Ranking({})
     budget = R_rec(k, g.n)
     levels: dict[int, int] = {}
-
-    def assign_block(mask: int, top: int) -> None:
-        for i, v in enumerate(bits_of(mask)):
-            if top - i < 1:
-                raise InvariantViolation("level budget exhausted")
-            levels[v] = top - i
-
-    def descend(mask: int, top: int) -> None:
-        nq = mask.bit_count()
-        if nq <= k:
-            assign_block(mask, top)
-            return
-        size, x_mask = min_balanced_separator_mask(g, mask, strict=False)
-        if size > k:
-            raise InvalidSeparator(
-                f"induced subgraph {bits_of(mask)} needs a separator of size {size} > k = {k}"
-            )
-        while x_mask.bit_count() < k:
-            x_mask = _pad_once_mask(g, mask, x_mask)
-            if not _balanced(g, mask & ~x_mask, strict=False):
-                raise InvariantViolation("padded separator lost balance")
-        assign_block(x_mask, top)
-        for comp in component_masks(g, mask & ~x_mask):
-            descend(comp, top - k)
-
-    descend(g.full_mask, budget)
+    _rank_down(g, g.full_mask, budget,
+               lambda mask: mask if mask.bit_count() <= k else padded_separator_mask(g, mask, k),
+               levels)
     ranking = Ranking(levels)
     ok, pair = is_valid_ranking(g, ranking)
     if not ok:
@@ -557,7 +542,7 @@ def bandwidth(g: Graph, cap: int = BW_CAP) -> tuple[int, tuple[int, ...]]:
     b = -(-max(map(int.bit_count, g.adj_bits)) // 2)
     while (layout := _bandwidth_feasible(g, b)) is None:
         b += 1
-    if _layout_stretch(g, layout) != b and g.num_edges() > 0:
+    if _layout_stretch(g, layout) != b:
         raise InvariantViolation("bandwidth witness stretch mismatch")
     return b, layout
 

@@ -453,6 +453,53 @@ def test_refusals_shorten_huge_numbers(capsys, argv, expected):
     assert len(err.splitlines()) == 1 and len(err) < 300
 
 
+def run_or_exit(capsys, *argv):
+    """`run`, also for a bad option value, on which argparse exits 2 itself."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, env, expected", [
+    (["audit", "--k-max", "9" * 5000], None, 2),
+    (["gen", "--family", "path", "--n", "5", "--seed", "9" * 5000], None, 2),
+    (["compute", "--params", "x" * 5000], None, 2),
+    (["compute", "--params", "s"], "9" * 5000, 2),
+    (["compute", "--params", "s", "--cap-n", "9" * 4000], None, 0),
+], ids=["audit-k-max", "gen-seed", "compute-params", "env-cap", "compute-cap-n"])
+def test_huge_arguments_get_short_stderr(capsys, tmp_path, monkeypatch, argv, env, expected):
+    if env is not None:
+        monkeypatch.setenv("WIDTHLAB_CAP_N", env)
+    if argv[0] == "compute":
+        argv = [*argv, "--input", write_graph(tmp_path, PATH8)]
+    code, _, err = run_or_exit(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+    assert len(err.splitlines()[-1]) < 200
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["audit", "--k-max", "abc"],
+     "usage: widthlab audit [-h] [--input INPUT] [--output OUTPUT]\n"
+     "                      [--format {json,csv,text}] [--seed SEED] [--cap-n CAP_N]\n"
+     "                      [--deep] [--k-max K_MAX] [--r-max R_MAX] [--n-max N_MAX]\n"
+     "widthlab audit: error: argument --k-max: invalid int value: 'abc'\n"),
+    (["gen", "--family", "random", "--n", "5", "--p", "abc", "--seed", "0"],
+     "usage: widthlab gen [-h] [--input INPUT] [--output OUTPUT]\n"
+     "                    [--format {json,csv,text}] [--seed SEED] [--cap-n CAP_N]\n"
+     "                    [--deep] --family\n"
+     "                    {complete,complete_binary_tree,hypercube,path,path_power,random,random_chordal,random_tree,star}\n"
+     "                    [--n N] [--k K] [--d D] [--p P] [--width WIDTH]\n"
+     "widthlab gen: error: argument --p: invalid float value: 'abc'\n"),
+], ids=["audit-k-max", "gen-p"])
+def test_short_bad_option_values_keep_argparse_message(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_or_exit(capsys, *argv) == (2, "", expected)
+
+
 def test_table_negative_range_exit2(capsys):
     code, _, _ = run(capsys, "table", "R", "--k", "1", "--n=-3:2")
     assert code == 2
