@@ -14,9 +14,11 @@ comment line in CSV.
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import json
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -80,20 +82,43 @@ class Output(NamedTuple):
 # Rendering and I/O
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALARS = {str: _encode_str, int: int.__repr__, float: lambda x: _FLOAT_WORDS.get(repr(x)) or repr(x),
+            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+_CELLS = {bool: _SCALARS[bool], type(None): lambda _: "", float: float.__repr__}
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return _CELLS.get(type(value), str)(value)
+
+
+def _refuse(value):
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte; strings go through json's C escaper."""
+    if type(value) in _SCALARS:
+        return _SCALARS[type(value)](value)
+    inner = indent + "  "
+    if type(value) is dict:  # a key that is no str is spelled as json spells the value, then quoted
+        items = [f"{_encode_str(k if type(k) is str else _SCALARS.get(type(k), _refuse)(k))}: "
+                 f"{_SCALARS[type(v)](v) if type(v) in _SCALARS else _json(v, inner)}"
+                 for k, v in value.items()]
+    elif type(value) is list or type(value) is tuple:
+        items = [_json(v, inner) for v in value]
+    else:
+        _refuse(value)
+    ends = "{}" if type(value) is dict else "[]"
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
 
 
 def render(fmt: str, config: dict, out: Output) -> str:
-    """The one place output text is made: JSON, '#'-config CSV, or text lines."""
+    """The one place output text is made: JSON (one exact writer, byte-identical to
+    `json.dumps(indent=2)` with ASCII escapes), '#'-config CSV, or text lines."""
     if fmt == "json" and out.payload is not None:
-        return json.dumps({"config": config, **out.payload()}, indent=2) + "\n"
+        return _json({"config": config, **out.payload()}) + "\n"
     if out.rows is not None and (fmt != "text" or out.lines is None):
         parts = " ".join(f"{k}={_fmt(v) if v is not None else '-'}" for k, v in config.items())
         return f"# config: {parts}\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in out.rows())
@@ -460,41 +485,51 @@ def cmd_separator(args) -> Output:
 # Argument parsing
 
 
-def _typed(convert: Callable[[str], object]) -> Callable[[str], object]:
-    """argparse `type` for an int or float option: argparse's own message
-    for a bad value, with the value shortened as in every other refusal."""
-    def parse(text: str):
-        try:
-            return convert(text)
-        except ValueError:  # also an int past Python's int -> str digit limit
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value: {_quote(text)}") from None
-    return parse
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a long rejected number, choice or subcommand shortened."""
+
+    def error(self, message):
+        bad = re.fullmatch(r"(argument .*?: invalid (?:choice|\w+ value): )(.*?)( \(choose from [^()]*\))?",
+                           message)
+        if bad and (quoted := _quote(ast.literal_eval(bad[2]))) != bad[2]:
+            message = bad[1] + quoted  # the usage line above lists any choices
+        super().error(message)
+
+
+def _join_option_values(argv: list[str]) -> list[str]:
+    """'--p -1e-05' as '--p=-1e-05', since argparse reads '-1e-05' or '-inf' as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-(\.?\d|inf|nan)", token, re.I):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--input", help="edge-list file, or '-' for stdin")
     common.add_argument("--output", help="output file (default stdout)")
     common.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="output format (default json; table defaults to csv)")
-    common.add_argument("--seed", type=_typed(int), default=0)
-    common.add_argument("--cap-n", type=_typed(int), default=None, dest="cap_n",
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--cap-n", type=int, default=None, dest="cap_n",
                         help=f"override solver size caps (env {ENV_CAP} is a weaker override)")
     common.add_argument("--deep", action="store_true",
                         help="enable d=4 hypercube report and raised bandwidth/rank caps")
 
-    ap = argparse.ArgumentParser(prog="widthlab", description=__doc__)
+    ap = _Parser(prog="widthlab", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="generate a named graph family")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
-    p.add_argument("--n", type=_typed(int))
-    p.add_argument("--k", type=_typed(int))
-    p.add_argument("--d", type=_typed(int))
-    p.add_argument("--p", type=_typed(float))
-    p.add_argument("--width", type=_typed(int))
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--p", type=float)
+    p.add_argument("--width", type=int)
     p.set_defaults(func=cmd_gen, config=())
 
     p = sub.add_parser("compute", parents=[common], help="compute width parameters")
@@ -515,22 +550,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table, config=("what", "k", "n", "r", "format"))
 
     p = sub.add_parser("audit", parents=[common], help="closed-form claims audit")
-    p.add_argument("--k-max", type=_typed(int), default=4, dest="k_max")
-    p.add_argument("--r-max", type=_typed(int), default=20, dest="r_max")
-    p.add_argument("--n-max", type=_typed(int), default=40, dest="n_max")
+    p.add_argument("--k-max", type=int, default=4, dest="k_max")
+    p.add_argument("--r-max", type=int, default=20, dest="r_max")
+    p.add_argument("--n-max", type=int, default=40, dest="n_max")
     p.set_defaults(func=cmd_audit, config=("k_max", "r_max", "n_max", "format"))
 
     p = sub.add_parser("corpus", parents=[common], help="seeded property-check corpus run")
-    p.add_argument("--count", type=_typed(int), default=50)
-    p.add_argument("--n-max", type=_typed(int), default=10, dest="n_max")
+    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--n-max", type=int, default=10, dest="n_max")
     p.set_defaults(func=cmd_corpus, config=("count", "n_max", "seed", "format"))
 
     p = sub.add_parser("hypercube-report", parents=[common], help="hypercube width report")
-    p.add_argument("--d", type=_typed(int), required=True)
+    p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_hypercube_report, config=("d", "deep", "format"))
 
     p = sub.add_parser("rank", parents=[common], help="separator-based vertex ranking")
-    p.add_argument("--k", type=_typed(int), default=None)
+    p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=cmd_rank, config=("input", "k", "format", "cap_n"))
 
     p = sub.add_parser("separator", parents=[common], help="balanced separator certificates")
@@ -543,8 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
     if args.format is None:
         args.format = "csv" if args.subcommand == "table" else "json"
     try:

@@ -261,8 +261,14 @@ TABLE_ENTRIES_MAX = 100_000
 
 
 def build_R_table(k: int, n_max: int) -> list[int]:
-    """[R_k(0), ..., R_k(n_max)]."""
-    return [R_rec(k, n) for n in range(n_max + 1)]
+    """[R_k(0), ..., R_k(n_max)]; above k each entry is read off an earlier one,
+    R_k(n) = k + R_k((n - k + 1) // 2)."""
+    if n_max >= 0:
+        _check_k(k)
+    table = list(range(min(k, n_max) + 1))
+    for n in range(k + 1, n_max + 1):
+        table.append(k + table[(n - k + 1) // 2])
+    return table
 
 
 def build_N_table(k: int, r_max: int) -> list[int]:

@@ -546,3 +546,63 @@ def test_readme_table_ceilings_match_solvers():
     }
     assert ceilings == {"tw": TW_TABLE_MAX_N, "pw": PW_TABLE_MAX_N, "r": RANK_TABLE_MAX_N,
                         "s": SEPARATOR_TABLE_MAX_N, "s_strict": SEPARATOR_TABLE_MAX_N}
+
+
+@pytest.mark.parametrize("p", [["--p", "-1e-05"], ["--p=-1e-05"]], ids=["separate", "joined"])
+def test_negative_exponent_p_reaches_the_range_message(capsys, p):
+    code, out, err = run_or_exit(capsys, "gen", "--family", "random", "--n", "5", *p, "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: edge probability must be in [0, 1], got -1e-05\n"
+
+
+def test_gen_p_output_unchanged(capsys):
+    code, out, _ = run(capsys, "gen", "--family", "random", "--n", "5", "--p", "0.3", "--seed", "0")
+    assert code == 0
+    assert out == "# widthlab gen family=random n=5 p=0.3 seed=0\n5 4\n0 3\n1 2\n1 4\n2 4\n"
+
+
+CHOICE_ARGV = {
+    "family": lambda bad: ["gen", "--family", bad, "--n", "3"],
+    "format": lambda bad: ["table", "R", "--k", "1", "--n", "3", "--format", bad],
+    "subcommand": lambda bad: [bad],
+}
+
+
+@pytest.mark.parametrize("where", CHOICE_ARGV)
+def test_long_rejected_choice_gets_short_stderr(capsys, where):
+    code, out, err = run_or_exit(capsys, *CHOICE_ARGV[where]("x" * 3000))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert len(err.splitlines()[-1]) < 200
+    assert "... (3000 characters)" in err
+
+
+@pytest.mark.parametrize("where, expected", [
+    ("family",
+     "usage: widthlab gen [-h] [--input INPUT] [--output OUTPUT]\n"
+     "                    [--format {json,csv,text}] [--seed SEED] [--cap-n CAP_N]\n"
+     "                    [--deep] --family\n"
+     "                    {complete,complete_binary_tree,hypercube,path,path_power,random,random_chordal,random_tree,star}\n"
+     "                    [--n N] [--k K] [--d D] [--p P] [--width WIDTH]\n"
+     "widthlab gen: error: argument --family: invalid choice: 'pat' (choose from 'complete', "
+     "'complete_binary_tree', 'hypercube', 'path', 'path_power', 'random', 'random_chordal', "
+     "'random_tree', 'star')\n"),
+    ("format",
+     "usage: widthlab table [-h] [--input INPUT] [--output OUTPUT]\n"
+     "                      [--format {json,csv,text}] [--seed SEED] [--cap-n CAP_N]\n"
+     "                      [--deep] --k K [--n N] [--r R]\n"
+     "                      {R,N}\n"
+     "widthlab table: error: argument --format: invalid choice: 'yaml' "
+     "(choose from 'json', 'csv', 'text')\n"),
+    ("subcommand",
+     "usage: widthlab [-h]\n"
+     "                {gen,compute,verify-chain,table,audit,corpus,hypercube-report,rank,separator}\n"
+     "                ...\n"
+     "widthlab: error: argument subcommand: invalid choice: 'frobnicate' (choose from 'gen', "
+     "'compute', 'verify-chain', 'table', 'audit', 'corpus', 'hypercube-report', 'rank', "
+     "'separator')\n"),
+])
+def test_short_rejected_choice_keeps_argparse_message(capsys, monkeypatch, where, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = {"family": "pat", "format": "yaml", "subcommand": "frobnicate"}[where]
+    assert run_or_exit(capsys, *CHOICE_ARGV[where](bad)) == (2, "", expected)

@@ -170,3 +170,29 @@ def test_tables():
     assert len(t) == 11 and t[10] == R_rec(2, 10) and t[0] == 0
     a = build_N_table(3, 8)
     assert len(a) == 9 and a[0] == 0 and a[8] == N_adjoint(3, 8)
+
+
+def _R_row(k, n_max):
+    """The R table entry by entry, or the DomainError that refuses it."""
+    try:
+        return [R_rec(k, n) for n in range(n_max + 1)]
+    except DomainError:
+        return DomainError
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_R_table_equals_the_recurrence_entry_by_entry(k):
+    full = _R_row(k, 5000)
+    for n_max in sorted({0, 1, k - 1, k, k + 1, 2 * k + 3, 5000}):
+        assert build_R_table(k, n_max) == full[:n_max + 1]
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 3])
+@pytest.mark.parametrize("n_max", [-1, 0, 1, 5])
+def test_R_table_refusals(k, n_max):
+    expected = _R_row(k, n_max)
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            build_R_table(k, n_max)
+    else:
+        assert build_R_table(k, n_max) == expected
