@@ -13,6 +13,8 @@ from widthlab import (
 )
 from widthlab.audit import (
     AUDIT_K_MAX,
+    OUT_OF_DOMAIN,
+    AuditFinding,
     AUDIT_N_MAX,
     AUDIT_R_MAX,
     _equality_predicted,
@@ -92,6 +94,18 @@ def test_audit_is_deterministic():
     a = audit_claims(3, 8, 12)
     b = audit_claims(3, 8, 12)
     assert [f.to_json_dict() for f in a] == [f.to_json_dict() for f in b]
+
+
+def test_audit_finding_is_immutable_and_drops_an_empty_note():
+    f = AuditFinding("C6.2", {"k": 2, "r": 4}, 6, 5, False)
+    with pytest.raises(AttributeError):
+        f.agree = True
+    assert f.to_json_dict() == {"claim": "C6.2", "inputs": {"k": 2, "r": 4},
+                                "printed": 6, "oracle": 5, "agree": False}
+    g = AuditFinding("C6.2", {"k": 1, "r": 4}, None, 4, None, OUT_OF_DOMAIN)
+    assert list(g.to_json_dict().items()) == [
+        ("claim", "C6.2"), ("inputs", {"k": 1, "r": 4}), ("printed", None),
+        ("oracle", 4), ("agree", None), ("note", OUT_OF_DOMAIN)]
 
 
 def test_audit_rows_at_the_caps_are_pinned():

@@ -95,7 +95,10 @@ def gen_argv(draw):
 def test_gen_returns_a_documented_exit_code(capsys, argv):
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse exits 2 itself, e.g. on "--p -1e-05", read as an option
+    except SystemExit as exc:
+        # argparse exits 2 itself on a value it cannot parse. A negative number such
+        # as "--p -1e-05" is not one: main joins it to its option, so it reaches the
+        # range check.
         code = exc.code
     captured = capsys.readouterr()
     assert code in (0, 1, 2, 3, 4)
