@@ -10,7 +10,7 @@ the purpose of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closed_forms import (
     N_adjoint,
@@ -38,8 +38,7 @@ AUDIT_R_MAX = 256
 AUDIT_N_MAX = 1024
 
 
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(NamedTuple):
     """One (claim, inputs, printed, oracle) comparison.
 
     `agree` is None (and `note` explains why) when the printed formula

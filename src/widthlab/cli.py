@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import itertools
 import json
 import os
 import re
@@ -107,11 +108,41 @@ def _json(value, indent: str = "") -> str:
                  f"{_SCALARS[type(v)](v) if type(v) in _SCALARS else _json(v, inner)}"
                  for k, v in value.items()]
     elif type(value) is list or type(value) is tuple:
-        items = [_json(v, inner) for v in value]
+        items = _column(value, inner)
     else:
         _refuse(value)
     ends = "{}" if type(value) is dict else "[]"
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
+
+
+def _column(values, indent: str) -> list[str]:
+    """`[_json(v, indent) for v in values]`: one `map` when the values share a scalar type,
+    and a list of dicts as records."""
+    types = set(map(type, values))
+    if len(types) == 1 and (kind := next(iter(types))) in _SCALARS:
+        return list(map(_SCALARS[kind], values))
+    if types == {dict}:
+        return _records(values, indent)
+    return [_json(v, indent) for v in values]
+
+
+def _records(dicts, indent: str) -> list[str]:
+    """Each run of two or more dicts with the same str keys, in the same order, is written
+    through one `%` template: an all-int column as `%d`, any other as its `_column`."""
+    inner = indent + "  "
+    out: list[str] = []
+    for keys, run in itertools.groupby(dicts, tuple):
+        run = list(run)
+        if len(run) < 2 or set(map(type, keys)) != {str}:  # (1,) == (True,), yet json spells them apart
+            out.extend(_json(d, indent) for d in run)
+            continue
+        columns = list(zip(*map(dict.values, run)))
+        ints = [set(map(type, c)) == {int} for c in columns]  # no str per cell: less time and memory
+        template = (f"{{\n{inner}" + f",\n{inner}".join(
+            _encode_str(k).replace("%", "%%") + (": %d" if i else ": %s") for k, i in zip(keys, ints))
+            + f"\n{indent}}}")
+        out.extend(map(template.__mod__, zip(*[c if i else _column(c, inner) for c, i in zip(columns, ints)])))
+    return out
 
 
 def render(fmt: str, config: dict, out: Output) -> str:
