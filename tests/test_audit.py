@@ -13,10 +13,10 @@ from widthlab import (
 )
 from widthlab.audit import (
     AUDIT_K_MAX,
-    OUT_OF_DOMAIN,
-    AuditFinding,
     AUDIT_N_MAX,
     AUDIT_R_MAX,
+    OUT_OF_DOMAIN,
+    AuditFinding,
     _equality_predicted,
     audit_internal_ok,
 )
