@@ -190,7 +190,7 @@ def hypercube_report(d: int, deep: bool = False) -> dict:
         raise SizeLimitExceeded(
             f"hypercube report supports d <= 3 (d = 4 with deep enabled); got d = {_number(d)}"
         )
-    from .solvers import RANK_CAP_DEEP, bandwidth, cycle_rank, pathwidth
+    from .solvers import bandwidth, cycle_rank, pathwidth
 
     g = hypercube(d)
     n = g.n
@@ -204,7 +204,7 @@ def hypercube_report(d: int, deep: bool = False) -> dict:
         bw_exact = None
         bw_used = harper_standard
         source = "formula-standard-unverified"
-    r_exact, _ = cycle_rank(g, cap=RANK_CAP_DEEP)
+    r_exact, _ = cycle_rank(g)
     pw_exact, _ = pathwidth(g)
 
     b6 = bound_thm6(bw_used, n)

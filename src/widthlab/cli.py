@@ -196,7 +196,8 @@ def _effective_cap(args, default: int, deep_default: int | None = None) -> int:
             raise UsageError(f"{ENV_CAP} must be an integer, got {_quote(env)}")
     else:
         cap = deep_default if args.deep and deep_default is not None else default
-    if cap > default:
+    if cap > default and (default, cap) not in args.warned_raises:
+        args.warned_raises.add((default, cap))
         print(
             f"warning: cap raised {default} -> {_number(cap)}; expect on the order of "
             f"2^{_number(cap)} subset states",
@@ -206,10 +207,8 @@ def _effective_cap(args, default: int, deep_default: int | None = None) -> int:
 
 
 def _param_caps(args, names) -> dict[str, int]:
-    """Cap per parameter; each distinct (cap, deep cap) pair is resolved and warned once."""
-    pairs = {name: (PARAMS[name].cap, PARAMS[name].deep_cap) for name in names}
-    resolved = {pair: _effective_cap(args, *pair) for pair in dict.fromkeys(pairs.values())}
-    return {name: resolved[pair] for name, pair in pairs.items()}
+    """Cap per parameter, each resolved by `_effective_cap`."""
+    return {name: _effective_cap(args, PARAMS[name].cap, PARAMS[name].deep_cap) for name in names}
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -609,6 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
+    args.warned_raises = set()  # (default, cap) raises warned so far: each is warned once
     if args.format is None:
         args.format = "csv" if args.subcommand == "table" else "json"
     try:

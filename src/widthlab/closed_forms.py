@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -158,72 +159,46 @@ def fmin_boundary_holds(k: int, x: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The logarithmic upper bound R_k(n) <= k * (1 + log(n/k))
+# The logarithmic upper bounds of both chains, decided exactly
 
 
-@dataclass(frozen=True)
-class Thm6Bound:
-    """Exact comparisons against k * (1 + log2(n/k)).
+class Log2Bound(NamedTuple):
+    """Exact comparisons of an integer r against log2(num / den), num, den > 0.
 
-    R <= k*(1 + log2(n/k))  <=>  k^k * 2^(R-k) <= n^k, decided with
-    arbitrary-precision integers; `display` is for printing only.
+    r <= log2(num/den) iff den * 2^r <= num, decided with arbitrary-precision
+    integers; for r < 0 the shift moves to num.  `shown` is for printing only.
     """
 
-    k: int
-    n: int
-
-    def _sides(self, r: int) -> tuple[int, int]:
-        lhs = self.k**self.k
-        rhs = self.n**self.k
-        if r >= self.k:
-            lhs <<= r - self.k
-        else:
-            rhs <<= self.k - r
-        return lhs, rhs
+    den: int
+    num: int
+    shown: float
 
     def leq(self, r: int) -> bool:
-        """Does r <= k * (1 + log2(n/k)) hold?"""
-        lhs, rhs = self._sides(r)
-        return lhs <= rhs
+        """Does r <= log2(num / den) hold?"""
+        return self.den << r <= self.num if r >= 0 else self.den <= self.num << -r
 
     def eq(self, r: int) -> bool:
-        lhs, rhs = self._sides(r)
-        return lhs == rhs
+        return self.den << r == self.num if r >= 0 else self.den == self.num << -r
 
     def display(self) -> float:
-        return self.k * (1.0 + math.log2(self.n / self.k))
+        return self.shown
 
 
-def bound_thm6(k: int, n: int) -> Thm6Bound:
+def bound_thm6(k: int, n: int) -> Log2Bound:
+    """k * (1 + log2(n/k)) = log2((2n)^k / k^k)."""
     _check_k(k)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return Thm6Bound(k, n)
+    return Log2Bound(k**k, (2 * n) ** k, k * (1.0 + math.log2(n / k)))
 
 
-@dataclass(frozen=True)
-class LogChainBound:
-    """Exact comparisons against 1 + s * log2(n) (the older chain bound)."""
-
-    s: int
-    n: int
-
-    def leq(self, r: int) -> bool:
-        """Does r <= 1 + s * log2(n) hold?  Exactly: 2^(r-1) <= n^s."""
-        if r <= 1:
-            return True
-        return 1 << (r - 1) <= self.n**self.s
-
-    def display(self) -> float:
-        return 1.0 + self.s * math.log2(self.n)
-
-
-def bound_log_chain(s: int, n: int) -> LogChainBound:
+def bound_log_chain(s: int, n: int) -> Log2Bound:
+    """The older chain bound 1 + s * log2(n) = log2(2 * n^s)."""
     if s < 0:
         raise DomainError(f"s must be >= 0, got {s}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return LogChainBound(s, n)
+    return Log2Bound(1, 2 * n**s, 1.0 + s * math.log2(n))
 
 
 # ---------------------------------------------------------------------------

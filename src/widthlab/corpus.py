@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closed_forms import R_rec, bound_thm6
-from .errors import SizeLimitExceeded, WidthlabError
+from .errors import DomainError, SizeLimitExceeded, WidthlabError
 from .graph import (
     Graph,
     _number,
@@ -35,36 +35,37 @@ CORPUS_N_MAX = min(param.cap for param in PARAMS.values())
 CORPUS_COUNT_MAX = 10_000
 
 
+def _seeded_corpus(count: int, n_max: int, seed: int, draw) -> list[tuple[str, Graph]]:
+    """`count` (label, graph) pairs with 2 <= n <= n_max from one SplitMix64
+    stream: n is drawn first, then `draw(i, n, rng)` draws the family's own
+    values and the graph."""
+    if count < 0 or n_max < 2:
+        raise DomainError(f"corpus needs count >= 0 and n_max >= 2, got count = "
+                          f"{_number(count)}, n_max = {_number(n_max)}")
+    rng = SplitMix64(seed)
+    return [draw(i, 2 + rng.below(n_max - 1), rng) for i in range(count)]
+
+
 def random_corpus(count: int, n_max: int, seed: int) -> list[tuple[str, Graph]]:
     """`count` seeded random graphs with 2 <= n <= n_max, cycling densities."""
-    rng = SplitMix64(seed)
-    out = []
-    for i in range(count):
-        n = 2 + rng.below(max(n_max - 1, 1))
+    def draw(i: int, n: int, rng: SplitMix64) -> tuple[str, Graph]:
         p = DENSITY_LADDER[i % len(DENSITY_LADDER)]
-        out.append((f"random(n={n},p={p})", random_graph(n, p, seed=rng.next_u64())))
-    return out
+        return f"random(n={n},p={p})", random_graph(n, p, seed=rng.next_u64())
+    return _seeded_corpus(count, n_max, seed, draw)
 
 
 def tree_corpus(count: int, n_max: int, seed: int) -> list[tuple[str, Graph]]:
-    rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        n = 2 + rng.below(max(n_max - 1, 1))
-        out.append((f"tree(n={n})", random_tree(n, seed=rng.next_u64())))
-    return out
+    return _seeded_corpus(count, n_max, seed, lambda i, n, rng:
+                          (f"tree(n={n})", random_tree(n, seed=rng.next_u64())))
 
 
 def chordal_corpus(
     count: int, n_max: int, width_max: int, seed: int
 ) -> list[tuple[str, Graph]]:
-    rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        n = 2 + rng.below(max(n_max - 1, 1))
+    def draw(i: int, n: int, rng: SplitMix64) -> tuple[str, Graph]:
         w = 1 + rng.below(width_max)
-        out.append((f"chordal(n={n},w={w})", random_chordal(n, w, seed=rng.next_u64())))
-    return out
+        return f"chordal(n={n},w={w})", random_chordal(n, w, seed=rng.next_u64())
+    return _seeded_corpus(count, n_max, seed, draw)
 
 
 def named_families() -> list[tuple[str, Graph]]:
@@ -154,7 +155,8 @@ def run_corpus(count: int, n_max: int, seed: int, progress=None) -> list[CorpusR
     The corpus is `count` random graphs, count//2 random trees, and
     count//2 random chordal graphs (width <= 3), all seeded from `seed`,
     plus the named families.  Records are emitted in input order.  A
-    count above CORPUS_COUNT_MAX or an n_max above CORPUS_N_MAX is refused.
+    count above CORPUS_COUNT_MAX or an n_max above CORPUS_N_MAX is refused,
+    and so are a negative count and an n_max below 2.
     """
     if count > CORPUS_COUNT_MAX or n_max > CORPUS_N_MAX:
         raise SizeLimitExceeded(

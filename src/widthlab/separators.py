@@ -45,11 +45,14 @@ SUBSET_TABLE_BUDGET = 256 << 20
 SEPARATOR_TABLE_MAX_N = 27
 
 
-def check_table_size(what: str, n: int, max_n: int) -> None:
-    """Refuse a 2^n subset table above its fixed ceiling, before allocating it."""
-    if n > max_n:
+def check_size(what: str, n: int, cap: int, table_max_n: int | None = None) -> None:
+    """Refuse n above the solver's cap, then a 2^n subset table above its
+    fixed ceiling `table_max_n`, before any work."""
+    if n > cap:
+        raise SizeLimitExceeded(f"{what}: n = {n} > cap {cap}")
+    if table_max_n is not None and n > table_max_n:
         raise SizeLimitExceeded(
-            f"{what}: n = {n} > {max_n}, the largest subset table that fits in "
+            f"{what}: n = {n} > {table_max_n}, the largest subset table that fits in "
             f"{SUBSET_TABLE_BUDGET >> 20} MiB; no cap raises this"
         )
 
@@ -152,8 +155,7 @@ def min_balanced_separator(
     g: Graph, strict: bool = False, cap: int = MIN_SEPARATOR_CAP
 ) -> tuple[int, tuple[int, ...]]:
     """Exact minimum (strictly) balanced separator with witness."""
-    if g.n > cap:
-        raise SizeLimitExceeded(f"min_balanced_separator: n = {g.n} > cap {cap}")
+    check_size("min_balanced_separator", g.n, cap)
     size, x_mask = min_balanced_separator_mask(g, g.full_mask, strict)
     return size, bits_of(x_mask)
 
@@ -224,7 +226,6 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytea
     which keeps the first maximiser in decreasing |Q|, then ascending mask.
     """
     n = g.n
-    check_table_size("separator_number", n, SEPARATOR_TABLE_MAX_N)
     f = bytearray(1 << n)
     lc = bytearray(1 << n)
     w, lo, hi = neighbourhood_tables(g)
@@ -275,8 +276,7 @@ def separator_number_with_witness(
     whose survivors the largest-component table shows to be balanced.
     X is re-checked by a walk over the survivors that reads no table.
     """
-    if g.n > cap:
-        raise SizeLimitExceeded(f"separator_number: n = {g.n} > cap {cap}")
+    check_size("separator_number", g.n, cap, SEPARATOR_TABLE_MAX_N)
     f, lc, best_q = _max_balanced_subset_table(g, strict)
     best = best_q.bit_count() - f[best_q]
     largest = _limit(f[best_q], strict)
@@ -306,8 +306,7 @@ def chordal_clique_separator(g: Graph, cap: int = MIN_SEPARATOR_CAP) -> tuple[tu
     """
     if g.n == 0:
         raise DomainError("chordal_clique_separator requires at least one vertex")
-    if g.n > cap:
-        raise SizeLimitExceeded(f"chordal_clique_separator: n = {g.n} > cap {cap}")
+    check_size("chordal_clique_separator", g.n, cap)
     ok, peo = is_chordal(g)
     if not ok:
         raise NotChordal(f"input has an induced cycle {peo}")

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
-from .errors import DomainError, InvariantViolation, SizeLimitExceeded
+from .errors import DomainError, InvariantViolation
 from .graph import Graph, bits_of, component_masks, neighbourhood_tables, reach_mask
 from .separators import (
+    MIN_SEPARATOR_CAP,
     SEPARATOR_NUMBER_CAP,
-    check_table_size,
+    check_size,
     padded_separator_mask,
     separator_number_with_witness,
 )
@@ -118,9 +119,7 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
     table entry is exact, so reconstruction is unaffected: `_rank_down`
     gives each component the top level, with a one-vertex block.
     """
-    if g.n > cap:
-        raise SizeLimitExceeded(f"cycle_rank: n = {g.n} > cap {cap}")
-    check_table_size("cycle_rank", g.n, RANK_TABLE_MAX_N)
+    check_size("cycle_rank", g.n, cap, RANK_TABLE_MAX_N)
     if g.n == 0:
         return 0, Ranking({})
     table = bytearray(1 << g.n)
@@ -175,7 +174,7 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
     return value, ranking
 
 
-def separator_ranking(g: Graph, k: int, cap: int = RANK_CAP_DEEP) -> Ranking:
+def separator_ranking(g: Graph, k: int, cap: int = MIN_SEPARATOR_CAP) -> Ranking:
     """Ranking built from balanced separators of size exactly k.
 
     Built by `_rank_down`: graphs with at most k vertices get distinct
@@ -188,8 +187,7 @@ def separator_ranking(g: Graph, k: int, cap: int = RANK_CAP_DEEP) -> Ranking:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if g.n > cap:
-        raise SizeLimitExceeded(f"separator_ranking: n = {g.n} > cap {cap}")
+    check_size("separator_ranking", g.n, cap)
     if g.n == 0:
         return Ranking({})
     budget = R_rec(k, g.n)
@@ -321,9 +319,7 @@ def treewidth(g: Graph, cap: int = TW_CAP) -> tuple[int, tuple[int, ...]]:
     witness is the one the unpruned table gives.
     """
     n = g.n
-    if n > cap:
-        raise SizeLimitExceeded(f"treewidth: n = {n} > cap {cap}")
-    check_table_size("treewidth", n, TW_TABLE_MAX_N)
+    check_size("treewidth", n, cap, TW_TABLE_MAX_N)
     if n == 0:
         return 0, ()
     full = g.full_mask
@@ -440,9 +436,7 @@ def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
     gives; it is re-validated by its separation profile.
     """
     n = g.n
-    if n > cap:
-        raise SizeLimitExceeded(f"pathwidth: n = {n} > cap {cap}")
-    check_table_size("pathwidth", n, PW_TABLE_MAX_N)
+    check_size("pathwidth", n, cap, PW_TABLE_MAX_N)
     if n == 0:
         return 0, ()
     full = g.full_mask
@@ -535,8 +529,7 @@ def bandwidth(g: Graph, cap: int = BW_CAP) -> tuple[int, tuple[int, ...]]:
     the rounds it would skip about as fast as it would be computed.
     """
     n = g.n
-    if n > cap:
-        raise SizeLimitExceeded(f"bandwidth: n = {n} > cap {cap}")
+    check_size("bandwidth", n, cap)
     if n == 0:
         return 0, ()
     b = -(-max(map(int.bit_count, g.adj_bits)) // 2)

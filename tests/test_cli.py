@@ -1,10 +1,16 @@
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from widthlab import InvariantViolation
+from widthlab import (
+    InvariantViolation,
+    chordal_clique_separator,
+    min_balanced_separator,
+    separator_ranking,
+)
 from widthlab import corpus as corpus_mod
 from widthlab import solvers as solvers_mod
 from widthlab.audit import AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX
@@ -248,6 +254,18 @@ def test_corpus_refuses_oversized_requests_exit4(capsys, monkeypatch, argv):
     assert out == "" and "size limit" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, count, n_max", [
+    (["--n-max", "0"], 50, 0),
+    (["--n-max", "1"], 50, 1),
+    (["--count", "-3"], -3, 10),
+])
+def test_corpus_refuses_negative_count_and_n_max_below_2_exit2(capsys, argv, count, n_max):
+    code, out, err = run(capsys, "corpus", *argv, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: corpus needs count >= 0 and n_max >= 2, "
+                   f"got count = {count}, n_max = {n_max}\n")
+
+
 def test_corpus_small_run(capsys):
     code, out, _ = run(capsys, "corpus", "--count", "4", "--n-max", "6", "--seed", "9")
     payload = json.loads(out)
@@ -323,6 +341,24 @@ def test_env_cap_override(capsys, tmp_path, monkeypatch):
     # explicit flag beats the environment
     code, _, _ = run(capsys, "compute", "--input", f, "--params", "bw", "--cap-n", "10")
     assert code == 4
+
+
+@pytest.mark.parametrize("flags, raises", [
+    (["--cap-n", "30"], [(12, 30), (18, 30), (16, 30)]),
+    (["--deep", "--cap-n", "30"], [(12, 30), (18, 30), (16, 30)]),
+    (["--deep"], [(12, 16), (16, 20)]),
+])
+def test_each_cap_raise_is_warned_once(capsys, tmp_path, flags, raises):
+    # s, s_strict and bw share the default cap 12; a raise they share is one warning.
+    f = write_graph(tmp_path, PATH8)
+    for command in ("compute", "verify-chain"):
+        code, _, err = run(capsys, command, "--input", f, *flags)
+        assert code in (0, 1)
+        assert err.splitlines() == [
+            f"warning: cap raised {default} -> {cap}; expect on the order of "
+            f"2^{cap} subset states"
+            for default, cap in raises
+        ]
 
 
 def test_rank_with_too_small_k_exit2(capsys, tmp_path):
@@ -518,6 +554,8 @@ def test_readme_caps_match_registry():
     from_readme = {name: caps[op] for op in caps for name in names[op]}
     assert from_readme == {p: (spec.cap, spec.deep_cap) for p, spec in PARAMS.items()}
     assert caps["min separator / ranking / clique separator"] == (MIN_SEPARATOR_CAP,) * 2
+    for solver in (min_balanced_separator, separator_ranking, chordal_clique_separator):
+        assert inspect.signature(solver).parameters["cap"].default == MIN_SEPARATOR_CAP
     assert caps["generators"] == (GENERATOR_CAP,) * 2
 
     bounds = {row[0]: row[1:] for row in rows if len(row) == 5}

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, log2
+from math import comb, floor, log2
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +139,39 @@ def test_bound_log_chain():
     assert b.leq(4) and not b.leq(5)   # 1 + log2(8) = 4
     assert bound_log_chain(0, 5).leq(1)
     assert b.display() == 4.0
+
+
+def _window(shown: float) -> list[int]:
+    """r from -3 to 0, and r within 3 of the bound."""
+    top = floor(shown)
+    return sorted(set(range(-3, 1)) | set(range(top - 3, top + 4)))
+
+
+def test_log2_bounds_match_a_cross_multiplied_oracle_on_a_grid():
+    # The oracle states each bound as a power comparison, multiplied through
+    # by 2^-lo with lo the lowest r of the window, so it never branches on
+    # the sign of r:
+    #   r <= k(1 + log2(n/k))  <=>  k^k * 2^(r-k) <= n^k
+    #   r <= 1 + s log2(n)     <=>  2^(r-1) <= n^s
+    # The displays keep the float expressions the printed bounds use.
+    for k in range(1, 17):
+        for n in range(1, 1025):
+            b = bound_thm6(k, n)
+            assert b.display() == k * (1.0 + log2(n / k))
+            window = _window(b.display())
+            lo = window[0]
+            for r in window:
+                lhs, rhs = k**k << (r - lo), n**k << (k - lo)
+                assert (b.leq(r), b.eq(r)) == (lhs <= rhs, lhs == rhs), (k, n, r)
+    for s in range(17):
+        for n in range(1, 1025):
+            b = bound_log_chain(s, n)
+            assert b.display() == 1.0 + s * log2(n)
+            window = _window(b.display())
+            lo = window[0]
+            for r in window:
+                lhs, rhs = 1 << (r - lo), n**s << (1 - lo)
+                assert (b.leq(r), b.eq(r)) == (lhs <= rhs, lhs == rhs), (s, n, r)
 
 
 def test_fmin_boundary():

@@ -12,6 +12,7 @@ from widthlab import (
     Ranking,
     SizeLimitExceeded,
     bandwidth,
+    chordal_clique_separator,
     complete,
     complete_binary_tree,
     components,
@@ -19,6 +20,7 @@ from widthlab import (
     hypercube,
     induced,
     is_valid_ranking,
+    min_balanced_separator,
     path,
     path_power,
     pathwidth,
@@ -30,11 +32,21 @@ from widthlab import (
     treewidth,
     verify_chain,
 )
-from widthlab.separators import SUBSET_TABLE_BUDGET, _balanced
+from widthlab.separators import (
+    MIN_SEPARATOR_CAP,
+    SEPARATOR_NUMBER_CAP,
+    SEPARATOR_TABLE_MAX_N,
+    SUBSET_TABLE_BUDGET,
+    _balanced,
+)
 from widthlab.solvers import (
+    BW_CAP,
     PARAMS,
+    PW_CAP,
     PW_TABLE_MAX_N,
+    RANK_CAP,
     RANK_TABLE_MAX_N,
+    TW_CAP,
     TW_TABLE_MAX_N,
     eliminate_and_measure,
     separation_profile,
@@ -276,6 +288,34 @@ def test_width_tables_refused_above_their_ceiling(solve, ceiling):
     with pytest.raises(SizeLimitExceeded, match="no cap raises"):
         solve(path(ceiling + 1), cap=100)
     assert 1 << ceiling <= SUBSET_TABLE_BUDGET < 1 << (ceiling + 1)
+
+
+# name in the message, solver, default cap, subset-table ceiling (None: no table)
+EXACT_SOLVERS = [
+    ("separator_number", separator_number, SEPARATOR_NUMBER_CAP, SEPARATOR_TABLE_MAX_N),
+    ("treewidth", treewidth, TW_CAP, TW_TABLE_MAX_N),
+    ("pathwidth", pathwidth, PW_CAP, PW_TABLE_MAX_N),
+    ("cycle_rank", cycle_rank, RANK_CAP, RANK_TABLE_MAX_N),
+    ("bandwidth", bandwidth, BW_CAP, None),
+    ("separator_ranking", lambda g, **kw: separator_ranking(g, 1, **kw), MIN_SEPARATOR_CAP, None),
+    ("min_balanced_separator", min_balanced_separator, MIN_SEPARATOR_CAP, None),
+    ("chordal_clique_separator", chordal_clique_separator, MIN_SEPARATOR_CAP, None),
+]
+
+
+@pytest.mark.parametrize("name, solve, cap, ceiling", EXACT_SOLVERS,
+                         ids=[row[0] for row in EXACT_SOLVERS])
+def test_exact_solvers_refuse_above_their_cap_and_table_ceiling(name, solve, cap, ceiling):
+    with pytest.raises(SizeLimitExceeded) as exc:
+        solve(path(cap + 1))
+    assert str(exc.value) == f"{name}: n = {cap + 1} > cap {cap}"
+    if ceiling is not None:
+        with pytest.raises(SizeLimitExceeded) as exc:
+            solve(path(ceiling + 1), cap=100)
+        assert str(exc.value) == (
+            f"{name}: n = {ceiling + 1} > {ceiling}, the largest subset table that fits in "
+            f"256 MiB; no cap raises this"
+        )
 
 
 def test_tw_le_pw():
