@@ -10,11 +10,11 @@ from .closed_forms import (
     N_adjoint,
     R_explicit,
     R_rec,
+    bound_claim63,
     bound_log_chain,
     bound_thm6,
     claim61_value,
     claim62_value,
-    claim63_lower,
     harper_bandwidth,
 )
 from .errors import (
@@ -87,13 +87,13 @@ __all__ = [
     "audit_claims",
     "audit_summary",
     "bandwidth",
+    "bound_claim63",
     "bound_log_chain",
     "bound_thm6",
     "check_separator",
     "chordal_clique_separator",
     "claim61_value",
     "claim62_value",
-    "claim63_lower",
     "complete",
     "complete_binary_tree",
     "components",

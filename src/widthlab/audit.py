@@ -16,10 +16,10 @@ from .closed_forms import (
     N_adjoint,
     R_explicit,
     R_rec,
+    bound_claim63,
     bound_thm6,
     claim61_value,
     claim62_value,
-    claim63_lower,
     fmin_boundary_holds,
     harper_bandwidth,
 )
@@ -123,10 +123,9 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
             if k == 1:
                 out_of_domain("C6.3", {"k": k, "r": r, "part": "leq"})
                 continue
-            n_val = N_adjoint(k, r)
-            bound = claim63_lower(k, r)
-            row("C6.3", {"k": k, "r": r, "part": "leq"}, 1, int(bound.leq(n_val)))
-            row("C6.3", {"k": k, "r": r, "part": "eq"}, int(r % k == 0), int(bound.eq(n_val)))
+            b = bound_claim63(k, N_adjoint(k, r))
+            row("C6.3", {"k": k, "r": r, "part": "leq"}, 1, int(b.leq(r)))
+            row("C6.3", {"k": k, "r": r, "part": "eq"}, int(r % k == 0), int(b.eq(r)))
         for x in range(1, k):
             row("C6.3", {"k": k, "x": x, "part": "fmin"}, 1, int(fmin_boundary_holds(k, x)))
 

@@ -280,9 +280,11 @@ def _witness_compact(wit: dict) -> str:
 def cmd_compute(args) -> Output:
     g = _read_graph(args)
     wanted = [p.strip() for p in args.params.split(",") if p.strip()]
-    for p in wanted:
+    for i, p in enumerate(wanted):
         if p not in PARAMS:
             raise UsageError(f"unknown parameter {_quote(p)}; choose from {','.join(PARAMS)}")
+        if p in wanted[:i]:
+            raise UsageError(f"parameter {_quote(p)} is given more than once")
     caps = _param_caps(args, wanted)
     values: dict = {}
     witnesses: dict = {}
@@ -484,6 +486,8 @@ def cmd_rank(args) -> Output:
 
 
 def cmd_separator(args) -> Output:
+    if args.strict and args.chordal_clique:
+        raise UsageError("--chordal-clique tests non-strict balance only; drop --strict")
     g = _read_graph(args)
     cap = _effective_cap(args, MIN_SEPARATOR_CAP)
     if args.chordal_clique:

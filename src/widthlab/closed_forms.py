@@ -9,7 +9,6 @@ and never feed a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -103,49 +102,6 @@ def claim62_value(k: int, r: int) -> int:
     return (k + r % k) * (1 << (r // k)) - k
 
 
-@dataclass(frozen=True)
-class Claim63Bound:
-    """Exact handle on the lower-bound value k * (2^(r/k) - 1).
-
-    The value is irrational unless k divides r, so comparisons against
-    integers go through the big-integer test
-        k * (2^(r/k) - 1) <= x  <=>  k^k * 2^r <= (x + k)^k   (x + k > 0).
-    """
-
-    k: int
-    r: int
-
-    def leq(self, x: int) -> bool:
-        """Does k*(2^(r/k) - 1) <= x hold?"""
-        if x + self.k <= 0:
-            return False
-        return self.k**self.k << self.r <= (x + self.k) ** self.k
-
-    def eq(self, x: int) -> bool:
-        if x + self.k <= 0:
-            return False
-        return self.k**self.k << self.r == (x + self.k) ** self.k
-
-    def is_integer(self) -> bool:
-        return self.r % self.k == 0
-
-    def exact_int(self) -> int:
-        if not self.is_integer():
-            raise DomainError(f"k={self.k} does not divide r={self.r}")
-        return self.k * ((1 << (self.r // self.k)) - 1)
-
-    def display(self) -> float:
-        return self.k * (2.0 ** (self.r / self.k) - 1.0)
-
-
-def claim63_lower(k: int, r: int) -> Claim63Bound:
-    """Printed lower bound on the adjoint, as an exact comparison object."""
-    _check_claim_domain(k)
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    return Claim63Bound(k, r)
-
-
 def fmin_boundary_holds(k: int, x: int) -> bool:
     """Exact check that the interpolating function exceeds its x=0 value.
 
@@ -159,7 +115,7 @@ def fmin_boundary_holds(k: int, x: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The logarithmic upper bounds of both chains, decided exactly
+# The logarithmic bounds of both chains and of Claim 6.3, decided exactly
 
 
 class Log2Bound(NamedTuple):
@@ -199,6 +155,14 @@ def bound_log_chain(s: int, n: int) -> Log2Bound:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return Log2Bound(1, 2 * n**s, 1.0 + s * math.log2(n))
+
+
+def bound_claim63(k: int, x: int) -> Log2Bound:
+    """Claim 6.3's k * (2^(r/k) - 1) <= x, read as r <= log2((x + k)^k / k^k)."""
+    _check_claim_domain(k)
+    if x < 0:
+        raise DomainError(f"x must be >= 0, got {x}")
+    return Log2Bound(k**k, (x + k) ** k, k * math.log2(1 + x / k))
 
 
 # ---------------------------------------------------------------------------

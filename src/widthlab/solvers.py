@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, SizeLimitExceeded
 from .graph import Graph, bits_of, component_masks, neighbourhood_tables, reach_mask
 from .separators import (
     MIN_SEPARATOR_CAP,
@@ -39,6 +39,9 @@ BW_CAP_DEEP = 16
 TW_TABLE_MAX_N = 28
 PW_TABLE_MAX_N = 28
 RANK_TABLE_MAX_N = 28
+# The bandwidth search recurses once per layout position; this ceiling keeps
+# it well inside Python's default limit of 1,000 frames.  No cap raises it.
+BW_SEARCH_MAX_N = 512
 
 
 @dataclass(frozen=True)
@@ -530,6 +533,9 @@ def bandwidth(g: Graph, cap: int = BW_CAP) -> tuple[int, tuple[int, ...]]:
     """
     n = g.n
     check_size("bandwidth", n, cap)
+    if n > BW_SEARCH_MAX_N:
+        raise SizeLimitExceeded(f"bandwidth: n = {n} > {BW_SEARCH_MAX_N}, the deepest layout "
+                                f"search, one stack frame per position; no cap raises this")
     if n == 0:
         return 0, ()
     b = -(-max(map(int.bit_count, g.adj_bits)) // 2)

@@ -19,7 +19,13 @@ from widthlab.closed_forms import TABLE_ENTRIES_MAX, TABLE_K_MAX, TABLE_N_MAX, T
 from widthlab.corpus import CORPUS_COUNT_MAX, CORPUS_N_MAX
 from widthlab.graph import GENERATOR_CAP
 from widthlab.separators import MIN_SEPARATOR_CAP, SEPARATOR_TABLE_MAX_N
-from widthlab.solvers import PARAMS, PW_TABLE_MAX_N, RANK_TABLE_MAX_N, TW_TABLE_MAX_N
+from widthlab.solvers import (
+    BW_SEARCH_MAX_N,
+    PARAMS,
+    PW_TABLE_MAX_N,
+    RANK_TABLE_MAX_N,
+    TW_TABLE_MAX_N,
+)
 
 
 def run(capsys, *argv):
@@ -141,6 +147,36 @@ def test_compute_unknown_param_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("params, repeated", [("s,tw,s", "s"), ("bw,bw", "bw")])
+def test_compute_repeated_param_exit2(capsys, tmp_path, params, repeated):
+    # Refused before any solver runs, as an unknown name is: a repeated name
+    # would run its solver twice and print its CSV column and text line twice.
+    f = write_graph(tmp_path, PATH8)
+    code, out, err = run(capsys, "compute", "--input", f, "--params", params)
+    assert (code, out) == (2, "")
+    assert err == f"error: parameter '{repeated}' is given more than once\n"
+
+
+def test_compute_refuses_a_path_above_the_bandwidth_search_ceiling_exit4(capsys, tmp_path):
+    # --cap-n admits the path, but the layout search, one frame per position,
+    # would exceed the recursion limit: exit 4 with one error line.
+    n = 1500
+    f = write_graph(tmp_path, f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    code, out, err = run(capsys, "compute", "--input", f, "--params", "bw", "--cap-n", "2000")
+    assert (code, out) == (4, "")
+    lines = [line for line in err.splitlines() if not line.startswith("warning: cap raised")]
+    assert lines == [f"error: size limit: bandwidth: n = {n} > {BW_SEARCH_MAX_N}, the deepest "
+                     f"layout search, one stack frame per position; no cap raises this"]
+
+
+def test_missing_or_unreadable_input_exit2(capsys, tmp_path):
+    assert run(capsys, "compute") == (2, "", "error: --input is required (use '-' for stdin)\n")
+    for bad in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, "compute", "--input", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {bad}: ") and len(err.splitlines()) == 1
+
+
 # --- verify-chain -------------------------------------------------------------
 
 
@@ -199,6 +235,17 @@ def test_table_R_k5(capsys):
 def test_table_bad_range_exit2(capsys):
     code, _, _ = run(capsys, "table", "R", "--k", "3:1", "--n", "1:4")
     assert code == 2
+
+
+@pytest.mark.parametrize("k", ["1:2:3", "x"])
+def test_table_malformed_range_exit2(capsys, k):
+    assert run(capsys, "table", "R", "--k", k, "--n", "1:4") == (
+        2, "", f"error: bad k range '{k}'; expected 'a' or 'a:b'\n")
+
+
+@pytest.mark.parametrize("what, x_name", [("R", "n"), ("N", "r")])
+def test_table_without_its_range_exit2(capsys, what, x_name):
+    assert run(capsys, "table", what, "--k", "1") == (2, "", f"error: table {what} requires --{x_name}\n")
 
 
 # --- audit -----------------------------------------------------------------------
@@ -319,6 +366,14 @@ def test_separator_chordal_clique_on_nonchordal_exit2(capsys, tmp_path):
     f = write_graph(tmp_path, q2)
     code, _, _ = run(capsys, "separator", "--input", f, "--chordal-clique")
     assert code == 2
+
+
+def test_separator_strict_chordal_clique_exit2(capsys, tmp_path):
+    # The clique routine tests non-strict balance only, so the pair is refused
+    # instead of echoing strict=true over a non-strict answer.
+    f = write_graph(tmp_path, PATH8)
+    assert run(capsys, "separator", "--input", f, "--strict", "--chordal-clique") == (
+        2, "", "error: --chordal-clique tests non-strict balance only; drop --strict\n")
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -584,6 +639,7 @@ def test_readme_table_ceilings_match_solvers():
     }
     assert ceilings == {"tw": TW_TABLE_MAX_N, "pw": PW_TABLE_MAX_N, "r": RANK_TABLE_MAX_N,
                         "s": SEPARATOR_TABLE_MAX_N, "s_strict": SEPARATOR_TABLE_MAX_N}
+    assert f"n <= {BW_SEARCH_MAX_N}," in section
 
 
 @pytest.mark.parametrize("p", [["--p", "-1e-05"], ["--p=-1e-05"]], ids=["separate", "joined"])

@@ -10,11 +10,11 @@ from widthlab import (
     N_adjoint,
     R_explicit,
     R_rec,
+    bound_claim63,
     bound_log_chain,
     bound_thm6,
     claim61_value,
     claim62_value,
-    claim63_lower,
     harper_bandwidth,
 )
 from widthlab.closed_forms import build_N_table, build_R_table, fmin_boundary_holds
@@ -93,23 +93,21 @@ def test_claim_values():
     assert claim62_value(2, 4) == 6
     assert claim61_value(2, 2) == 1
     assert claim61_value(2, 3) == 2
-    b = claim63_lower(2, 4)
-    assert b.is_integer() and b.exact_int() == 6
+    # 2 * (2^(4/2) - 1) = 6, so the bound at x = 6 is met with equality
+    b = bound_claim63(2, 6)
+    assert b.eq(4) and b.leq(4) and not b.leq(5)
     for bad in (lambda: claim61_value(1, 3), lambda: claim62_value(1, 2),
-                lambda: claim63_lower(1, 2)):
+                lambda: bound_claim63(1, 2)):
         with pytest.raises(DomainError):
             bad()
 
 
 def test_claim63_exact_comparisons():
-    b = claim63_lower(3, 5)  # 3 * (2^(5/3) - 1), irrational
-    value = 3 * 2 ** Fraction(5, 3) - 3  # sanity vs float sandwich
-    assert not b.is_integer()
+    value = 3 * 2 ** Fraction(5, 3) - 3  # 3 * (2^(5/3) - 1), irrational
     lo = int(float(value)) - 1
     hi = lo + 3
-    assert b.leq(hi) and not b.leq(lo)
-    assert not b.eq(hi) and not b.eq(lo)
-    assert abs(b.display() - float(value)) < 1e-9
+    assert bound_claim63(3, hi).leq(5) and not bound_claim63(3, lo).leq(5)
+    assert not bound_claim63(3, hi).eq(5) and not bound_claim63(3, lo).eq(5)
 
 
 def test_bound_thm6_examples():
@@ -172,6 +170,21 @@ def test_log2_bounds_match_a_cross_multiplied_oracle_on_a_grid():
             for r in window:
                 lhs, rhs = 1 << (r - lo), n**s << (1 - lo)
                 assert (b.leq(r), b.eq(r)) == (lhs <= rhs, lhs == rhs), (s, n, r)
+
+
+def test_claim63_bound_matches_a_power_oracle_on_a_grid():
+    # k(2^(r/k) - 1) <= x  <=>  r <= log2((x + k)^k / k^k)  <=>  k^k * 2^r <= (x + k)^k
+    for k in range(2, 17):
+        for x in range(1025):
+            b = bound_claim63(k, x)
+            assert b.display() == k * log2(1 + x / k)
+            top = floor(b.display())
+            for r in range(max(top - 3, 0), top + 4):
+                lhs, rhs = k**k * 2**r, (x + k) ** k
+                assert (b.leq(r), b.eq(r)) == (lhs <= rhs, lhs == rhs), (k, x, r)
+    for k in range(2, 17):
+        with pytest.raises(DomainError, match="x must be >= 0, got -1"):
+            bound_claim63(k, -1)
 
 
 def test_fmin_boundary():

@@ -109,6 +109,16 @@ def test_generators_refuse_negative_arguments(make, message):
         make()
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (-1, (), "vertex count must be nonnegative, got -1"),
+    (3, [(0, 3)], r"edge \(0,3\) has endpoint outside 0..2"),
+    (3, [(1, 1)], "self-loop at vertex 1"),
+])
+def test_graph_refuses_bad_arguments(n, edges, message):
+    with pytest.raises(DomainError, match=message):
+        Graph(n, edges)
+
+
 def test_random_graph_extremes():
     assert random_graph(5, 0.0, 3).num_edges() == 0
     assert random_graph(5, 1.0, 3) == complete(5)

@@ -41,6 +41,7 @@ from widthlab.separators import (
 )
 from widthlab.solvers import (
     BW_CAP,
+    BW_SEARCH_MAX_N,
     PARAMS,
     PW_CAP,
     PW_TABLE_MAX_N,
@@ -325,6 +326,17 @@ def test_tw_le_pw():
 
 
 # --- bandwidth -------------------------------------------------------------------
+
+
+def test_bandwidth_search_ceiling():
+    # At the ceiling the search runs one frame per position inside pytest's
+    # own stack; one vertex more is refused before any search, whatever the cap.
+    n = BW_SEARCH_MAX_N
+    assert bandwidth(path(n), cap=n) == (1, tuple(range(n)))
+    with pytest.raises(SizeLimitExceeded) as exc:
+        bandwidth(path(n + 1), cap=10 * n)
+    assert str(exc.value) == (f"bandwidth: n = {n + 1} > {n}, the deepest layout search, "
+                              f"one stack frame per position; no cap raises this")
 
 
 def test_bandwidth_examples():
