@@ -36,10 +36,8 @@ from .closed_forms import (
 )
 from .errors import (
     DomainError,
-    InvalidSeparator,
     InvariantViolation,
     MalformedInput,
-    NotChordal,
     SizeLimitExceeded,
     WidthlabError,
 )
@@ -51,13 +49,15 @@ from .separators import (
     min_balanced_separator,
     separator_number,
 )
-from .solvers import PARAMS, separator_ranking, verify_chain
+from .solvers import BW_SEARCH_MAX_N, PARAMS, separator_ranking, verify_chain
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
-EXIT_MALFORMED = 3
-EXIT_SIZE = 4
+# Exit code and stderr label of a failure, from the first kind here it is an instance of:
+# a WidthlabError of a kind not named before the last entry is a usage or precondition error.
+_FAILURES = {InvariantViolation: (EXIT_FAILED, "invariant violated: "), MalformedInput: (3, "malformed input: "),
+             SizeLimitExceeded: (4, "size limit: "), WidthlabError: (EXIT_USAGE, "")}
 
 ENV_CAP = "WIDTHLAB_CAP_N"
 
@@ -185,7 +185,11 @@ def _read_graph(args):
     return parse_edge_list(text)
 
 
-def _effective_cap(args, default: int, deep_default: int | None = None) -> int:
+def _effective_cap(args, default: int, deep_default: int | None = None,
+                   layout_search: bool = False) -> int:
+    """The cap in force; a raise above `default` is warned once per (default, cap).
+    The warning names the cost: subset states, or with `layout_search` (bandwidth)
+    the fixed n ceiling that no cap raises."""
     env = os.environ.get(ENV_CAP)
     if args.cap_n is not None:
         cap = args.cap_n
@@ -198,17 +202,16 @@ def _effective_cap(args, default: int, deep_default: int | None = None) -> int:
         cap = deep_default if args.deep and deep_default is not None else default
     if cap > default and (default, cap) not in args.warned_raises:
         args.warned_raises.add((default, cap))
-        print(
-            f"warning: cap raised {default} -> {_number(cap)}; expect on the order of "
-            f"2^{_number(cap)} subset states",
-            file=sys.stderr,
-        )
+        cost = (f"bandwidth keeps no subset table, and refuses n > {BW_SEARCH_MAX_N} whatever the cap"
+                if layout_search else f"expect on the order of 2^{_number(cap)} subset states")
+        print(f"warning: cap raised {default} -> {_number(cap)}; {cost}", file=sys.stderr)
     return cap
 
 
 def _param_caps(args, names) -> dict[str, int]:
     """Cap per parameter, each resolved by `_effective_cap`."""
-    return {name: _effective_cap(args, PARAMS[name].cap, PARAMS[name].deep_cap) for name in names}
+    return {name: _effective_cap(args, PARAMS[name].cap, PARAMS[name].deep_cap, layout_search=name == "bw")
+            for name in names}
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -280,6 +283,8 @@ def _witness_compact(wit: dict) -> str:
 def cmd_compute(args) -> Output:
     g = _read_graph(args)
     wanted = [p.strip() for p in args.params.split(",") if p.strip()]
+    if not wanted:
+        raise UsageError(f"no parameter given; choose from {','.join(PARAMS)}")
     for i, p in enumerate(wanted):
         if p not in PARAMS:
             raise UsageError(f"unknown parameter {_quote(p)}; choose from {','.join(PARAMS)}")
@@ -620,18 +625,10 @@ def main(argv=None) -> int:
         config = {"subcommand": args.subcommand, **{key: getattr(args, key) for key in args.config}}
         _emit(args, render(args.format, config, out))
         return out.code
-    except MalformedInput as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except SizeLimitExceeded as exc:
-        print(f"error: size limit: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except (DomainError, NotChordal, InvalidSeparator, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvariantViolation as exc:
-        print(f"error: invariant violated: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    except WidthlabError as exc:
+        code, label = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+        print(f"error: {label}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

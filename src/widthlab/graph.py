@@ -11,12 +11,15 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator
 
-from .errors import DomainError, MalformedInput, SizeLimitExceeded
+from .errors import DomainError, InvariantViolation, MalformedInput, SizeLimitExceeded
 from .rng import SplitMix64
 
 # Generators refuse anything bigger than this; exact solvers have far
 # smaller per-operation caps (see solvers / separators).
 GENERATOR_CAP = 1 << 16
+# Generators also refuse, before any work, more edges than this, more pairs
+# drawn by `random_graph`, or more vertex slots in `random_chordal`'s clique list.
+GENERATOR_WORK_CAP = 1 << 20
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -199,7 +202,7 @@ def _find_hole(g: Graph) -> tuple[int, ...]:
                 path = _shortest_path(g, u, w, allowed)
                 if path is not None:
                     return (v,) + tuple(path)
-    raise AssertionError("no hole found in a graph that failed the PEO test")
+    raise InvariantViolation("no hole found in a graph that failed the PEO test")
 
 
 def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> list[int] | None:
@@ -296,6 +299,8 @@ def path_power(n: int, k: int) -> Graph:
     if k < 1:
         raise DomainError(f"power k must be >= 1, got {k}")
     _check_size(n)
+    reach = min(k, n - 1)  # vertex u has min(k, n - 1 - u) later neighbours
+    _check_size(reach * n - reach * (reach + 1) // 2, "edge count", GENERATOR_WORK_CAP)
     return Graph(
         n, ((u, v) for u in range(n) for v in range(u + 1, min(u + k, n - 1) + 1))
     )
@@ -316,6 +321,7 @@ def star(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     _check_size(n)
+    _check_size(n * (n - 1) // 2, "edge count", GENERATOR_WORK_CAP)
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
@@ -333,6 +339,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
     _check_size(n)
+    _check_size(n * (n - 1) // 2, "pair count", GENERATOR_WORK_CAP)  # one draw per pair, whatever p is
     rng = SplitMix64(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < p
@@ -379,6 +386,8 @@ def random_chordal(n: int, width: int, seed: int) -> Graph:
     k = width
     if n <= k + 1:
         return complete(n)
+    # k + 1 cliques of k vertices, and k more for each vertex after the first k + 1
+    _check_size(k * (k + 1 + (n - k - 1) * k), "clique-list size", GENERATOR_WORK_CAP)
     rng = SplitMix64(seed)
     edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
     base = tuple(range(k + 1))

@@ -148,7 +148,7 @@ def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[
         for x_mask in _subsets(universe, size):
             if _balanced(g, universe ^ x_mask, strict):
                 return size, x_mask
-    raise AssertionError("X = universe always balances; unreachable")
+    raise InvariantViolation("X = universe always balances; unreachable")
 
 
 def min_balanced_separator(

@@ -165,7 +165,7 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
             rest ^= low
             if rank_any(mask ^ low) == target:
                 return low
-        raise AssertionError("no vertex achieves the memoized optimum")
+        raise InvariantViolation("no vertex achieves the memoized optimum")
 
     levels: dict[int, int] = {}
     for comp in component_masks(g):
@@ -294,7 +294,7 @@ def _walk_back(full: int, attains: Callable[[int, int], bool]) -> tuple[int, ...
                 s_mask ^= low
                 break
         else:
-            raise AssertionError("subset table reconstruction failed")
+            raise InvariantViolation("subset table reconstruction failed")
     order.reverse()
     return tuple(order)
 

@@ -7,17 +7,21 @@ import pytest
 
 from widthlab import (
     InvariantViolation,
+    WidthlabError,
     chordal_clique_separator,
     min_balanced_separator,
     separator_ranking,
 )
 from widthlab import corpus as corpus_mod
+from widthlab import errors as errors_mod
+from widthlab import graph as graph_mod
+from widthlab import separators as separators_mod
 from widthlab import solvers as solvers_mod
 from widthlab.audit import AUDIT_K_MAX, AUDIT_N_MAX, AUDIT_R_MAX
-from widthlab.cli import main
+from widthlab.cli import _FAILURES, EXIT_FAILED, EXIT_OK, EXIT_USAGE, UsageError, main
 from widthlab.closed_forms import TABLE_ENTRIES_MAX, TABLE_K_MAX, TABLE_N_MAX, TABLE_R_MAX
 from widthlab.corpus import CORPUS_COUNT_MAX, CORPUS_N_MAX
-from widthlab.graph import GENERATOR_CAP
+from widthlab.graph import GENERATOR_CAP, GENERATOR_WORK_CAP
 from widthlab.separators import MIN_SEPARATOR_CAP, SEPARATOR_TABLE_MAX_N
 from widthlab.solvers import (
     BW_SEARCH_MAX_N,
@@ -83,6 +87,26 @@ def test_gen_huge_dimension_exit4(capsys, family):
     assert out == "" and "size limit" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "complete", "--n", "65536"],
+    ["--family", "random", "--n", "65536", "--p", "0.0", "--seed", "1"],
+    ["--family", "path_power", "--n", "65536", "--k", "65536"],
+    ["--family", "random_chordal", "--n", "65536", "--width", "2000"],
+], ids=["complete", "random", "path_power", "random_chordal"])
+def test_gen_refuses_oversized_work_exit4(capsys, monkeypatch, argv):
+    # refused before a pair is drawn or a graph is built
+    def built(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    monkeypatch.setattr(graph_mod, "Graph", built)
+    monkeypatch.setattr(graph_mod, "SplitMix64", built)
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: size limit: generator refuses ")
+    assert err.endswith(f" > {GENERATOR_WORK_CAP}\n")
+
+
 # --- compute ----------------------------------------------------------------
 
 
@@ -145,6 +169,15 @@ def test_compute_unknown_param_exit2(capsys, tmp_path):
     f = write_graph(tmp_path, PATH8)
     code, _, _ = run(capsys, "compute", "--input", f, "--params", "zz")
     assert code == 2
+
+
+@pytest.mark.parametrize("params", ["", ",", " , "])
+def test_compute_empty_param_list_exit2(capsys, tmp_path, params):
+    # refused as an unknown name is, rather than printing only n
+    f = write_graph(tmp_path, PATH8)
+    code, out, err = run(capsys, "compute", "--input", f, "--params", params)
+    assert (code, out) == (2, "")
+    assert err == "error: no parameter given; choose from s,s_strict,tw,pw,bw,r\n"
 
 
 @pytest.mark.parametrize("params, repeated", [("s,tw,s", "s"), ("bw,bw", "bw")])
@@ -313,6 +346,30 @@ def test_corpus_refuses_negative_count_and_n_max_below_2_exit2(capsys, argv, cou
                    f"got count = {count}, n_max = {n_max}\n")
 
 
+def test_corpus_error_record_in_json_and_csv(capsys):
+    # record 7 is the 6-vertex chordal graph on which no small clique separates
+    error = "InvariantViolation: no clique of order <= 2 is a balanced separator of this graph"
+    argv = ["corpus", "--count", "4", "--n-max", "6", "--seed", "94"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    rec = json.loads(out)["graphs"][7]
+    assert (rec["family"], rec["ok"], rec["error"]) == ("chordal(n=6,w=2)", False, error)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert f"7,chordal(n=6,w=2),6,error,{error}\n" in out
+
+
+def test_corpus_error_record_in_text(capsys, monkeypatch):
+    def broken(g):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(corpus_mod, "verify_chain", broken)
+    code, out, _ = run(capsys, "corpus", "--count", "2", "--n-max", "3", "--seed", "1",
+                       "--format", "text")
+    assert code == 1
+    assert "  FAIL #0 random(n=3,p=0.1): InvariantViolation: planted\n" in out
+
+
 def test_corpus_small_run(capsys):
     code, out, _ = run(capsys, "corpus", "--count", "4", "--n-max", "6", "--seed", "9")
     payload = json.loads(out)
@@ -405,15 +462,27 @@ def test_env_cap_override(capsys, tmp_path, monkeypatch):
 ])
 def test_each_cap_raise_is_warned_once(capsys, tmp_path, flags, raises):
     # s, s_strict and bw share the default cap 12; a raise they share is one warning.
+    # Only bw raises 12 -> 16, and its layout search keeps no subset table.
     f = write_graph(tmp_path, PATH8)
     for command in ("compute", "verify-chain"):
         code, _, err = run(capsys, command, "--input", f, *flags)
         assert code in (0, 1)
         assert err.splitlines() == [
+            f"warning: cap raised {default} -> {cap}; bandwidth keeps no subset table, and "
+            f"refuses n > {BW_SEARCH_MAX_N} whatever the cap"
+            if (default, cap) == (12, 16) else
             f"warning: cap raised {default} -> {cap}; expect on the order of "
             f"2^{cap} subset states"
             for default, cap in raises
         ]
+
+
+def test_bandwidth_cap_raise_makes_no_subset_state_claim(capsys, tmp_path):
+    f = write_graph(tmp_path, PATH8)
+    code, _, err = run(capsys, "compute", "--input", f, "--params", "bw,s", "--cap-n", "30")
+    assert code == 0
+    assert err == (f"warning: cap raised 12 -> 30; bandwidth keeps no subset table, and "
+                   f"refuses n > {BW_SEARCH_MAX_N} whatever the cap\n")
 
 
 def test_rank_with_too_small_k_exit2(capsys, tmp_path):
@@ -457,6 +526,26 @@ def test_invariant_violation_exit1(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "compute", "--input", f, "--params", "tw")
     assert code == 1
     assert out == "" and err == "error: invariant violated: planted\n"
+
+
+def test_bare_widthlab_error_exit2(capsys, tmp_path, monkeypatch):
+    # a toolkit error of no named kind is a precondition error: exit 2, no label
+    def broken(g, cap):
+        raise WidthlabError("boom")
+
+    monkeypatch.setattr(solvers_mod, "treewidth", broken)
+    f = write_graph(tmp_path, PATH8)
+    code, out, err = run(capsys, "compute", "--input", f, "--params", "tw")
+    assert (code, out, err) == (2, "", "error: boom\n")
+
+
+def test_failed_proved_fact_exit1(capsys, tmp_path, monkeypatch):
+    # a guard of a proven fact is a re-check like any other: exit 1, one line
+    monkeypatch.setattr(separators_mod, "_balanced", lambda g, survivors, strict: False)
+    f = write_graph(tmp_path, PATH8)
+    code, out, err = run(capsys, "separator", "--input", f)
+    assert (code, out) == (1, "")
+    assert err == "error: invariant violated: X = universe always balances; unreachable\n"
 
 
 def test_non_ascii_digit_field_exit3(capsys, tmp_path):
@@ -612,6 +701,8 @@ def test_readme_caps_match_registry():
     for solver in (min_balanced_separator, separator_ranking, chordal_clique_separator):
         assert inspect.signature(solver).parameters["cap"].default == MIN_SEPARATOR_CAP
     assert caps["generators"] == (GENERATOR_CAP,) * 2
+    bound = re.search(r"generator work bound is ([\d,]+) \(2\^(\d+)\)", section)
+    assert int(bound[1].replace(",", "")) == GENERATOR_WORK_CAP == 1 << int(bound[2])
 
     bounds = {row[0]: row[1:] for row in rows if len(row) == 5}
     table = bounds["`table`"]
@@ -622,6 +713,26 @@ def test_readme_caps_match_registry():
     corpus = bounds["`corpus`"]
     assert int(corpus[1]) == CORPUS_N_MAX
     assert corpus[3].startswith(f"{CORPUS_COUNT_MAX} ")
+
+
+def test_readme_exit_codes_match_the_failure_table():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("### Exit codes"):readme.index("### Output conventions")]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|") and not line.startswith("|--")
+    ][1:]
+    codes = {EXIT_OK, EXIT_FAILED, EXIT_USAGE} | {code for code, _ in _FAILURES.values()}
+    assert [int(row[0]) for row in rows] == sorted(codes)
+    kinds = {name: int(row[0]) for row in rows for name in re.findall(r"`(\w+)`", row[2])}
+    errors = [c for c in vars(errors_mod).values() if isinstance(c, type) and issubclass(c, WidthlabError)]
+    assert set(kinds) == {c.__name__ for c in errors + [UsageError]}
+    for kind in errors + [UsageError]:
+        code, label = next(v for k, v in _FAILURES.items() if issubclass(kind, k))
+        assert kinds[kind.__name__] == code
+        assert not label or f"`{label.strip()}`" in section
+    assert _FAILURES[WidthlabError] == (EXIT_USAGE, "") and list(_FAILURES)[-1] is WidthlabError
 
 
 def test_readme_table_ceilings_match_solvers():

@@ -242,3 +242,18 @@ def test_R_table_refusals(k, n_max):
             build_R_table(k, n_max)
     else:
         assert build_R_table(k, n_max) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: R_explicit(1, -1), "n must be >= 0, got -1"),
+    (lambda: N_adjoint(1, -1), "r must be >= 0, got -1"),
+    (lambda: claim61_value(2, 0), "j must be >= 1, got 0"),
+    (lambda: claim62_value(2, 0), "r must be >= 1, got 0"),
+    (lambda: fmin_boundary_holds(3, 3), "x must be in 1..k-1, got 3"),
+    (lambda: bound_log_chain(-1, 4), "s must be >= 0, got -1"),
+    (lambda: bound_log_chain(1, 0), "n must be >= 1, got 0"),
+], ids=["R_explicit", "N_adjoint", "claim61", "claim62", "fmin", "log_chain_s", "log_chain_n"])
+def test_out_of_domain_arguments_are_refused(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

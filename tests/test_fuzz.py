@@ -66,8 +66,9 @@ def test_compute_returns_a_documented_exit_code(tmp_path, capsys, data):
     assert (code == 0) == (captured.out != "")
 
 
-# Vertex counts stay far below the generator cap: `complete --n 65536` alone
-# is O(n^2) and would dominate the suite.
+# Vertex counts stay far below the generator cap. `complete --n 65536` is
+# refused at once by the work bound (tests/test_cli.py), but `path --n 65536`
+# passes it and still takes about 300 MiB: its adjacency bitmasks hold about n^2/2 bits.
 GEN_ARGS = {
     "n": st.integers(-3, 200),
     "k": st.integers(-3, 20),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from widthlab import (
     DomainError,
     Graph,
+    InvariantViolation,
     MalformedInput,
     SizeLimitExceeded,
     complete,
@@ -368,3 +369,37 @@ def test_parse_error_quotes_long_line_with_its_length():
 def test_serialize_parse_roundtrip(n, p, seed):
     g = random_graph(n, p, seed)
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@pytest.mark.parametrize("make, counts", [
+    (lambda n, k: path_power(n, k), lambda n, k: path_power(n, k).num_edges()),
+    (lambda n, k: complete(n), lambda n, k: complete(n).num_edges()),
+    # one draw per pair, so an edgeless draw counts every pair
+    (lambda n, k: random_graph(n, 0.0, 1), lambda n, k: complete(n).num_edges()),
+], ids=["path_power", "complete", "random"])
+def test_generator_work_bound_is_exact(monkeypatch, make, counts):
+    # Refused exactly when the edges emitted (or pairs drawn) pass the bound.
+    work = {(n, k): counts(n, k) for n in range(9) for k in range(1, 10)}
+    monkeypatch.setattr(graph_mod, "GENERATOR_WORK_CAP", 10)
+    for (n, k), count in work.items():
+        if count > 10:
+            with pytest.raises(SizeLimitExceeded) as exc:
+                make(n, k)
+            assert str(exc.value).endswith(f" count = {count} > 10")
+        else:
+            make(n, k)
+
+
+def test_random_chordal_work_bound_counts_its_clique_list(monkeypatch):
+    # k + 1 cliques of k vertices, then k more per added vertex: 2 * (3 + 2 * 2) = 14 at n = 5.
+    monkeypatch.setattr(graph_mod, "GENERATOR_WORK_CAP", 14)
+    assert random_chordal(5, 2, 1).num_edges() == 7
+    with pytest.raises(SizeLimitExceeded) as exc:
+        random_chordal(6, 2, 1)
+    assert str(exc.value) == "generator refuses clique-list size = 18 > 14"
+    assert random_chordal(5, 4, 1) == complete(5)  # n <= width + 1: no clique list
+
+
+def test_find_hole_on_a_chordal_graph_is_an_invariant_violation():
+    with pytest.raises(InvariantViolation):
+        graph_mod._find_hole(complete(4))

@@ -378,3 +378,10 @@ def test_separator_witness_is_rechecked_without_tables(monkeypatch):
     for strict in (False, True):
         with pytest.raises(InvariantViolation):
             separator_number_with_witness(path(5), strict=strict)
+
+
+def test_unbalanced_universe_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(separators_mod, "_balanced", lambda g, survivors, strict: False)
+    with pytest.raises(InvariantViolation) as exc:
+        separators_mod.min_balanced_separator_mask(path(3), 0b111, strict=False)
+    assert str(exc.value) == "X = universe always balances; unreachable"

@@ -8,6 +8,7 @@ from widthlab import (
     DomainError,
     Graph,
     InvalidSeparator,
+    InvariantViolation,
     R_rec,
     Ranking,
     SizeLimitExceeded,
@@ -49,6 +50,7 @@ from widthlab.solvers import (
     RANK_TABLE_MAX_N,
     TW_CAP,
     TW_TABLE_MAX_N,
+    _walk_back,
     eliminate_and_measure,
     separation_profile,
 )
@@ -515,3 +517,14 @@ def test_isolated_vertex_changes_nothing(seed):
     padded = Graph(g.n + 1, g.edges())
     names = PER_COMPONENT + ("s", "s_strict")
     assert _values(padded, names) == _values(g, names)
+
+
+def test_empty_graph_bandwidth_and_separator_ranking():
+    assert bandwidth(Graph(0)) == (0, ())
+    assert separator_ranking(Graph(0), 1) == Ranking({})
+
+
+def test_walk_back_with_no_attaining_move_is_an_invariant_violation():
+    with pytest.raises(InvariantViolation) as exc:
+        _walk_back(0b11, lambda s_mask, low: False)
+    assert str(exc.value) == "subset table reconstruction failed"
