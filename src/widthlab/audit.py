@@ -25,6 +25,7 @@ from .closed_forms import (
 )
 from .errors import DomainError, SizeLimitExceeded
 from .graph import _number, hypercube
+from .solvers import BW_CAP_DEEP, bandwidth, cycle_rank, pathwidth
 
 CLAIM_IDS = ("Eq1", "C6.1", "C6.2", "C6.3", "T6-equality", "T12-harper")
 
@@ -134,8 +135,6 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
             row("T6-equality", {"k": k, "n": n}, _equality_predicted(k, n),
                 int(bound_thm6(k, n).eq(R_rec(k, n))))
 
-    from .solvers import bandwidth  # local import: solver is the oracle here
-
     for d in (1, 2, 3):
         exact, _ = bandwidth(hypercube(d))
         for variant in ("printed", "standard"):
@@ -174,14 +173,13 @@ def audit_internal_ok(findings: list[AuditFinding]) -> bool:
 def hypercube_report(d: int, deep: bool = False) -> dict:
     """Width parameters and bound variants for the d-dimensional hypercube.
 
-    Exact bandwidth is computed for d <= 3; beyond that only the two
-    closed-form readings are reported and all derived bounds are flagged
-    as formula-based.  Cycle rank and pathwidth are exact up to d = 4
-    (behind `deep`, since they take a while).  The report shows the
-    recurrence-based bound, the logarithmic bound both with and without
-    its leading term (the two versions in circulation), and the bound
-    the older chain would give, which already exceeds the trivial bound
-    n at small d.
+    Bandwidth, cycle rank and pathwidth are exact at every accepted d
+    (d = 4 behind `deep`), and every bound uses the exact bandwidth; the
+    two closed-form readings of bandwidth are reported beside it.  The
+    report shows the recurrence-based bound, the logarithmic bound both
+    with and without its leading term (the two versions in circulation),
+    and the bound the older chain would give, which already exceeds the
+    trivial bound n at small d.
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {_number(d)}")
@@ -189,48 +187,37 @@ def hypercube_report(d: int, deep: bool = False) -> dict:
         raise SizeLimitExceeded(
             f"hypercube report supports d <= 3 (d = 4 with deep enabled); got d = {_number(d)}"
         )
-    from .solvers import bandwidth, cycle_rank, pathwidth
-
     g = hypercube(d)
     n = g.n
-    harper_printed = harper_bandwidth(d, "printed")
-    harper_standard = harper_bandwidth(d, "standard")
-    if d <= 3:
-        bw_exact, _ = bandwidth(g)
-        bw_used = bw_exact
-        source = "exact"
-    else:
-        bw_exact = None
-        bw_used = harper_standard
-        source = "formula-standard-unverified"
+    bw, _ = bandwidth(g, cap=BW_CAP_DEEP)
     r_exact, _ = cycle_rank(g)
     pw_exact, _ = pathwidth(g)
 
-    b6 = bound_thm6(bw_used, n)
+    b6 = bound_thm6(bw, n)
     report = {
         "d": d,
         "n": n,
         "bw": {
-            "exact": bw_exact,
-            "harper_printed": harper_printed,
-            "harper_standard": harper_standard,
-            "used": bw_used,
-            "source": source,
+            "exact": bw,
+            "harper_printed": harper_bandwidth(d, "printed"),
+            "harper_standard": harper_bandwidth(d, "standard"),
+            "used": bw,
+            "source": "exact",
         },
         "r_exact": r_exact,
         "pw_exact": pw_exact,
-        "pw_equals_bw": (pw_exact == bw_exact) if bw_exact is not None else None,
+        "pw_equals_bw": pw_exact == bw,
         "bounds": {
-            "recurrence_height": R_rec(bw_used, n),
-            "recurrence_holds_for_r": r_exact <= R_rec(bw_used, n),
+            "recurrence_height": R_rec(bw, n),
+            "recurrence_holds_for_r": r_exact <= R_rec(bw, n),
             "log_bound": {"display": b6.display(), "holds_for_r": b6.leq(r_exact)},
             "log_bound_no_leading_term": {
-                "display": b6.display() - bw_used,
-                "holds_for_r": b6.leq(r_exact + bw_used),
+                "display": b6.display() - bw,
+                "holds_for_r": b6.leq(r_exact + bw),
             },
             "older_chain_contrast": {
-                "display": 1.0 + (bw_used + 1) * d,
-                "exceeds_order": 1 + (bw_used + 1) * d > n,
+                "display": 1.0 + (bw + 1) * d,
+                "exceeds_order": 1 + (bw + 1) * d > n,
             },
         },
     }

@@ -424,7 +424,8 @@ def cmd_corpus(args) -> Output:
         for rec in records:
             if not rec.ok():
                 bad = [c for c, ok in rec.checks.items() if not ok]
-                out.append(f"  FAIL #{rec.index} {rec.family}: {bad or rec.error}")
+                detail = ", ".join(str(part) for part in (bad, rec.error) if part)
+                out.append(f"  FAIL #{rec.index} {rec.family}: {detail}")
         return out
 
     return Output(

@@ -185,9 +185,18 @@ def test_adjoint_monotone_feeds_audit():
 
 def test_hypercube_report_d4_deep():
     rep = hypercube_report(4, deep=True)
-    assert rep["bw"]["exact"] is None
-    assert rep["bw"]["source"] == "formula-standard-unverified"
+    assert rep["bw"]["exact"] == rep["bw"]["used"] == rep["bw"]["harper_standard"] == 7
+    assert rep["bw"]["source"] == "exact"
     assert rep["bw"]["harper_standard"] == 7
     assert rep["pw_exact"] == 7  # matches the index-dependent formula reading
-    assert rep["pw_equals_bw"] is None  # no exact bandwidth to compare against
+    assert rep["pw_equals_bw"] is True
     assert rep["r_exact"] <= rep["bounds"]["recurrence_height"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hypercube_report_bandwidth_is_exact_at_every_d(d):
+    rep = hypercube_report(d, deep=d == 4)
+    bw = rep["bw"]
+    assert bw["exact"] == bw["used"] == bw["harper_standard"]
+    assert bw["source"] == "exact"
+    assert rep["pw_equals_bw"] == (rep["pw_exact"] == bw["exact"])

@@ -370,6 +370,16 @@ def test_corpus_error_record_in_text(capsys, monkeypatch):
     assert "  FAIL #0 random(n=3,p=0.1): InvariantViolation: planted\n" in out
 
 
+def test_corpus_text_names_both_the_failed_checks_and_the_error(capsys):
+    code, out, _ = run(capsys, "corpus", "--count", "4", "--n-max", "6", "--seed", "94",
+                       "--format", "text")
+    assert code == 1
+    assert ("  FAIL #7 chordal(n=6,w=2): ['chain', 'sep_le_tw'], InvariantViolation: "
+            "no clique of order <= 2 is a balanced separator of this graph\n") in out
+    # a record with failed checks and no error keeps its line
+    assert "  FAIL #35 hypercube(3): ['chain', 'sep_le_tw']\n" in out
+
+
 def test_corpus_small_run(capsys):
     code, out, _ = run(capsys, "corpus", "--count", "4", "--n-max", "6", "--seed", "9")
     payload = json.loads(out)
@@ -388,6 +398,13 @@ def test_hypercube_report_d3(capsys):
     assert payload["bw"]["exact"] == 4
     assert payload["bw"]["harper_printed"] == 12
     assert payload["pw_equals_bw"] is True
+
+
+def test_hypercube_report_d4_deep_text_is_exact(capsys):
+    code, out, _ = run(capsys, "hypercube-report", "--d", "4", "--deep", "--format", "text")
+    assert code == 0
+    assert "exact=7" in out and "pw == bw: true" in out
+    assert "None" not in out
 
 
 def test_hypercube_report_d5_exit4(capsys):

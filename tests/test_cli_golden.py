@@ -68,6 +68,8 @@ def _cases() -> dict:
             ["corpus", "--count", "2", "--seed", "1", "--format", fmt], "")
         cases[f"hypercube-report {fmt}"] = (
             ["hypercube-report", "--d", "3", "--format", fmt], "")
+        cases[f"hypercube-report d=4 --deep {fmt}"] = (
+            ["hypercube-report", "--d", "4", "--deep", "--format", fmt], "")
         for name in ("path8", "chordal9"):
             cases[f"rank {name} {fmt}"] = (
                 ["rank", "--input", "-", "--format", fmt], GRAPHS[name])
