@@ -170,11 +170,11 @@ def audit_internal_ok(findings: list[AuditFinding]) -> bool:
 # Hypercube report
 
 
-def hypercube_report(d: int, deep: bool = False) -> dict:
+def hypercube_report(d: int) -> dict:
     """Width parameters and bound variants for the d-dimensional hypercube.
 
     Bandwidth, cycle rank and pathwidth are exact at every accepted d
-    (d = 4 behind `deep`), and every bound uses the exact bandwidth; the
+    (1 <= d <= 4), and every bound uses the exact bandwidth; the
     two closed-form readings of bandwidth are reported beside it.  The
     report shows the recurrence-based bound, the logarithmic bound both
     with and without its leading term (the two versions in circulation),
@@ -183,10 +183,8 @@ def hypercube_report(d: int, deep: bool = False) -> dict:
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {_number(d)}")
-    if d > 4 or (d == 4 and not deep):
-        raise SizeLimitExceeded(
-            f"hypercube report supports d <= 3 (d = 4 with deep enabled); got d = {_number(d)}"
-        )
+    if d > 4:
+        raise SizeLimitExceeded(f"hypercube report supports d <= 4; got d = {_number(d)}")
     g = hypercube(d)
     n = g.n
     bw, _ = bandwidth(g, cap=BW_CAP_DEEP)

@@ -187,7 +187,7 @@ def _read_graph(args):
 
 def _effective_cap(args, default: int, deep_default: int | None = None,
                    layout_search: bool = False) -> int:
-    """The cap in force; a raise above `default` is warned once per (default, cap).
+    """The cap in force, refused if negative; a raise above `default` is warned once per (default, cap).
     The warning names the cost: subset states, or with `layout_search` (bandwidth)
     the fixed n ceiling that no cap raises."""
     env = os.environ.get(ENV_CAP)
@@ -200,6 +200,9 @@ def _effective_cap(args, default: int, deep_default: int | None = None,
             raise UsageError(f"{ENV_CAP} must be an integer, got {_quote(env)}")
     else:
         cap = deep_default if args.deep and deep_default is not None else default
+    if cap < 0:
+        source = "--cap-n" if args.cap_n is not None else ENV_CAP
+        raise UsageError(f"{source} must be >= 0, got {_number(cap)}")
     if cap > default and (default, cap) not in args.warned_raises:
         args.warned_raises.add((default, cap))
         cost = (f"bandwidth keeps no subset table, and refuses n > {BW_SEARCH_MAX_N} whatever the cap"
@@ -448,7 +451,7 @@ def _flat_rows(obj: dict, prefix: str = "") -> list[list]:
 
 
 def cmd_hypercube_report(args) -> Output:
-    report = audit_mod.hypercube_report(args.d, deep=args.deep)
+    report = audit_mod.hypercube_report(args.d)
     bw, bounds = report["bw"], report["bounds"]
     return Output(
         payload=lambda: report,
@@ -557,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap-n", type=int, default=None, dest="cap_n",
                         help=f"override solver size caps (env {ENV_CAP} is a weaker override)")
     common.add_argument("--deep", action="store_true",
-                        help="enable d=4 hypercube report and raised bandwidth/rank caps")
+                        help="raise the bandwidth and cycle-rank caps")
 
     ap = _Parser(prog="widthlab", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)

@@ -25,7 +25,7 @@ from .graph import (
     star,
 )
 from .rng import SplitMix64
-from .separators import chordal_clique_separator, min_balanced_separator, pad_separator
+from .separators import MIN_SEPARATOR_CAP, check_size, chordal_clique_separator, padded_separator_mask
 from .solvers import PARAMS, cycle_rank, separator_ranking, verify_chain
 
 DENSITY_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -85,12 +85,8 @@ def named_families() -> list[tuple[str, Graph]]:
 
 def check_padding_preserves_balance(g: Graph) -> bool:
     """Padding a minimum balanced separator stays balanced up to n-1."""
-    if g.n == 0:
-        return True
-    _, witness = min_balanced_separator(g)
-    x = witness
-    while len(x) < g.n - 1:
-        x = pad_separator(g, x)  # re-checks balance; raises on violation
+    check_size("min_balanced_separator", g.n, MIN_SEPARATOR_CAP)
+    padded_separator_mask(g, g.full_mask, max(g.n - 1, 0))  # re-checks balance after every pad
     return True
 
 

@@ -167,10 +167,9 @@ def test_hypercube_report_d3():
 
 
 def test_hypercube_report_caps():
+    assert hypercube_report(4)["d"] == 4
     with pytest.raises(SizeLimitExceeded):
-        hypercube_report(4)  # needs deep
-    with pytest.raises(SizeLimitExceeded):
-        hypercube_report(5, deep=True)
+        hypercube_report(5)
     with pytest.raises(DomainError):
         hypercube_report(0)
 
@@ -184,7 +183,7 @@ def test_adjoint_monotone_feeds_audit():
 
 
 def test_hypercube_report_d4_deep():
-    rep = hypercube_report(4, deep=True)
+    rep = hypercube_report(4)
     assert rep["bw"]["exact"] == rep["bw"]["used"] == rep["bw"]["harper_standard"] == 7
     assert rep["bw"]["source"] == "exact"
     assert rep["bw"]["harper_standard"] == 7
@@ -195,7 +194,7 @@ def test_hypercube_report_d4_deep():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_hypercube_report_bandwidth_is_exact_at_every_d(d):
-    rep = hypercube_report(d, deep=d == 4)
+    rep = hypercube_report(d)
     bw = rep["bw"]
     assert bw["exact"] == bw["used"] == bw["harper_standard"]
     assert bw["source"] == "exact"

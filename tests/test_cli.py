@@ -410,8 +410,8 @@ def test_hypercube_report_d4_deep_text_is_exact(capsys):
 def test_hypercube_report_d5_exit4(capsys):
     code, _, _ = run(capsys, "hypercube-report", "--d", "5")
     assert code == 4
-    code, _, _ = run(capsys, "hypercube-report", "--d", "4")  # needs --deep
-    assert code == 4
+    code, _, _ = run(capsys, "hypercube-report", "--d", "4")  # no --deep needed
+    assert code == 0
 
 
 # --- rank / separator --------------------------------------------------------------
@@ -470,6 +470,23 @@ def test_env_cap_override(capsys, tmp_path, monkeypatch):
     # explicit flag beats the environment
     code, _, _ = run(capsys, "compute", "--input", f, "--params", "bw", "--cap-n", "10")
     assert code == 4
+
+
+@pytest.mark.parametrize("command", ["compute", "rank"])
+@pytest.mark.parametrize("source", ["--cap-n", "WIDTHLAB_CAP_N"])
+def test_negative_cap_exit2(capsys, tmp_path, monkeypatch, command, source):
+    # A negative cap is a usage error, refused before any solver runs.
+    f = write_graph(tmp_path, PATH8)
+    if source == "--cap-n":
+        flags = ["--cap-n", "-1"]
+    else:
+        monkeypatch.setenv(source, "-1")
+        flags = []
+    assert run(capsys, command, "--input", f, *flags) == (
+        2, "", f"error: {source} must be >= 0, got -1\n")
+    # A cap of 0 is accepted, and refuses the 8-vertex graph as a size limit.
+    code, out, err = run(capsys, command, "--input", f, "--cap-n", "0")
+    assert (code, out) == (4, "") and err.startswith("error: size limit: ")
 
 
 @pytest.mark.parametrize("flags, raises", [

@@ -13,6 +13,7 @@ alter the output:
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -68,6 +69,8 @@ def _cases() -> dict:
             ["corpus", "--count", "2", "--seed", "1", "--format", fmt], "")
         cases[f"hypercube-report {fmt}"] = (
             ["hypercube-report", "--d", "3", "--format", fmt], "")
+        cases[f"hypercube-report d=4 {fmt}"] = (
+            ["hypercube-report", "--d", "4", "--format", fmt], "")
         cases[f"hypercube-report d=4 --deep {fmt}"] = (
             ["hypercube-report", "--d", "4", "--deep", "--format", fmt], "")
         for name in ("path8", "chordal9"):
@@ -111,6 +114,21 @@ def test_cli_stdout_matches_golden(name, golden):
     code, out = run_case(argv, stdin_text)
     assert golden[name]["argv"] == argv
     assert (code, out) == (golden[name]["code"], golden[name]["stdout"])
+
+
+# The echoed flag, masked so that `--deep` toggled can be compared.
+DEEP_ECHO = re.compile(r'("deep": |deep=)(?:true|false)')
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_deep_only_raises_caps(name, golden):
+    # `--deep` raises the bw and r caps, which no golden input reaches, so
+    # toggling it changes no exit code and no stdout byte but its own echo.
+    argv, stdin_text = CASES[name]
+    toggled = [a for a in argv if a != "--deep"] if "--deep" in argv else argv + ["--deep"]
+    code, out = run_case(toggled, stdin_text)
+    want_code, want_out = golden[name]["code"], golden[name]["stdout"]
+    assert (code, DEEP_ECHO.sub(r"\1-", out)) == (want_code, DEEP_ECHO.sub(r"\1-", want_out))
 
 
 def test_golden_covers_every_case(golden):

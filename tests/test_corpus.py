@@ -2,10 +2,11 @@ import hashlib
 
 import pytest
 
-from widthlab import DomainError
+from widthlab import DomainError, SizeLimitExceeded
 from widthlab import corpus as corpus_mod
 from widthlab.corpus import chordal_corpus, random_corpus, run_corpus, tree_corpus
-from widthlab.graph import serialize_edge_list
+from widthlab.graph import Graph, complete, path, serialize_edge_list
+from widthlab.separators import MIN_SEPARATOR_CAP
 
 CORPORA = {
     "random": random_corpus,
@@ -58,3 +59,13 @@ def test_corpus_lower_bounds_are_refused(monkeypatch, family, count, n_max):
 def test_corpus_at_its_lower_bounds(family):
     assert CORPORA[family](0, 2, 1) == []
     assert {g.n for _, g in CORPORA[family](20, 2, 1)} == {2}
+
+
+@pytest.mark.parametrize("g", [Graph(0), Graph(1), path(7), complete(6)])
+def test_padding_check_holds_from_n_0(g):
+    assert corpus_mod.check_padding_preserves_balance(g) is True
+
+
+def test_padding_check_keeps_the_min_separator_cap():
+    with pytest.raises(SizeLimitExceeded):
+        corpus_mod.check_padding_preserves_balance(Graph(MIN_SEPARATOR_CAP + 1))
