@@ -8,7 +8,8 @@ input, 4 size cap exceeded.
 All data output goes to stdout (or --output); warnings and progress go
 to stderr so the data stream stays machine-clean.  Every report echoes
 the run configuration: as a "config" object in JSON, as a single '#'
-comment line in CSV.
+comment line in CSV.  The echo is the subcommand and every option it
+takes except --output, in declaration order.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class Output(NamedTuple):
     """A command's result: each format is built only if it is the one rendered.
 
     Without a JSON form a command renders as CSV, and without a text form
-    its text is CSV too; `gen` has lines only, printed in every format.
+    its text is CSV too; `gen` has lines only.
     """
 
     payload: Callable[[], dict] | None = None  # JSON object after "config"
@@ -199,7 +200,7 @@ def _effective_cap(args, default: int, deep_default: int | None = None,
         except ValueError:
             raise UsageError(f"{ENV_CAP} must be an integer, got {_quote(env)}")
     else:
-        cap = deep_default if args.deep and deep_default is not None else default
+        cap = deep_default if deep_default is not None and args.deep else default
     if cap < 0:
         source = "--cap-n" if args.cap_n is not None else ENV_CAP
         raise UsageError(f"{source} must be >= 0, got {_number(cap)}")
@@ -549,81 +550,63 @@ def _join_option_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _opt(*flags, **kwargs) -> tuple:
+    """One option: the arguments of its `add_argument` call."""
+    return flags, kwargs
+
+
+# Options that several subcommands take.
+_INPUT = _opt("--input", help="edge-list file, or '-' for stdin")
+_FORMAT = _opt("--format", choices=("json", "csv", "text"), default="json",
+               help="output format (default %(default)s)")
+_SEED = _opt("--seed", type=int, default=0)
+_CAP_N = _opt("--cap-n", type=int, help=f"override solver size caps (env {ENV_CAP} is a weaker override)")
+_DEEP = _opt("--deep", action="store_true",
+             help="raise the bandwidth and cycle-rank caps of compute and verify-chain "
+                  "(hypercube-report only echoes it)")
+
+# Subcommand -> handler, help, parser defaults, and every option it takes but
+# --output, in the order of its config echo.
+_COMMANDS = {
+    "gen": (cmd_gen, "generate a named graph family", {"format": "text"}, [
+        _opt("--family", required=True, choices=sorted(_FAMILY_PARAMS)), _opt("--n", type=int), _opt("--k", type=int),
+        _opt("--d", type=int), _opt("--p", type=float), _opt("--width", type=int), _SEED]),
+    "compute": (cmd_compute, "compute width parameters", {}, [
+        _INPUT, _FORMAT, _opt("--params", default=",".join(PARAMS)), _SEED, _CAP_N, _DEEP]),
+    "verify-chain": (cmd_verify_chain, "verify both inequality chains; exit 0 iff they hold", {}, [
+        _INPUT, _FORMAT, _SEED, _CAP_N, _DEEP]),
+    "table": (cmd_table, "recurrence / adjoint tables", {"format": "csv"}, [
+        _opt("what", choices=("R", "N")), _opt("--k", required=True, help="k value or range a:b"),
+        _opt("--n", help="n range for R tables"), _opt("--r", help="r range for N tables"), _FORMAT]),
+    "audit": (cmd_audit, "closed-form claims audit", {}, [
+        _opt("--k-max", type=int, default=4), _opt("--r-max", type=int, default=20),
+        _opt("--n-max", type=int, default=40), _FORMAT]),
+    "corpus": (cmd_corpus, "seeded property-check corpus run", {}, [
+        _opt("--count", type=int, default=50), _opt("--n-max", type=int, default=10), _SEED, _FORMAT]),
+    "hypercube-report": (cmd_hypercube_report, "hypercube width report", {}, [
+        _opt("--d", type=int, required=True), _DEEP, _FORMAT]),
+    "rank": (cmd_rank, "separator-based vertex ranking", {}, [_INPUT, _opt("--k", type=int), _FORMAT, _CAP_N]),
+    "separator": (cmd_separator, "balanced separator certificates", {}, [
+        _INPUT, _opt("--strict", action="store_true"), _opt("--chordal-clique", action="store_true"),
+        _FORMAT, _CAP_N]),
+}
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--input", help="edge-list file, or '-' for stdin")
-    common.add_argument("--output", help="output file (default stdout)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None,
-                        help="output format (default json; table defaults to csv)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap-n", type=int, default=None, dest="cap_n",
-                        help=f"override solver size caps (env {ENV_CAP} is a weaker override)")
-    common.add_argument("--deep", action="store_true",
-                        help="raise the bandwidth and cycle-rank caps")
-
     ap = _Parser(prog="widthlab", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gen", parents=[common], help="generate a named graph family")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--width", type=int)
-    p.set_defaults(func=cmd_gen, config=())
-
-    p = sub.add_parser("compute", parents=[common], help="compute width parameters")
-    p.add_argument("--params", default=",".join(PARAMS))
-    p.set_defaults(func=cmd_compute,
-                   config=("input", "format", "params", "seed", "cap_n", "deep"))
-
-    p = sub.add_parser("verify-chain", parents=[common],
-                       help="verify both inequality chains; exit 0 iff they hold")
-    p.set_defaults(func=cmd_verify_chain,
-                   config=("input", "format", "seed", "cap_n", "deep"))
-
-    p = sub.add_parser("table", parents=[common], help="recurrence / adjoint tables")
-    p.add_argument("what", choices=("R", "N"))
-    p.add_argument("--k", required=True, help="k value or range a:b")
-    p.add_argument("--n", help="n range for R tables")
-    p.add_argument("--r", help="r range for N tables")
-    p.set_defaults(func=cmd_table, config=("what", "k", "n", "r", "format"))
-
-    p = sub.add_parser("audit", parents=[common], help="closed-form claims audit")
-    p.add_argument("--k-max", type=int, default=4, dest="k_max")
-    p.add_argument("--r-max", type=int, default=20, dest="r_max")
-    p.add_argument("--n-max", type=int, default=40, dest="n_max")
-    p.set_defaults(func=cmd_audit, config=("k_max", "r_max", "n_max", "format"))
-
-    p = sub.add_parser("corpus", parents=[common], help="seeded property-check corpus run")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--n-max", type=int, default=10, dest="n_max")
-    p.set_defaults(func=cmd_corpus, config=("count", "n_max", "seed", "format"))
-
-    p = sub.add_parser("hypercube-report", parents=[common], help="hypercube width report")
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_hypercube_report, config=("d", "deep", "format"))
-
-    p = sub.add_parser("rank", parents=[common], help="separator-based vertex ranking")
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_rank, config=("input", "k", "format", "cap_n"))
-
-    p = sub.add_parser("separator", parents=[common], help="balanced separator certificates")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--chordal-clique", action="store_true", dest="chordal_clique")
-    p.set_defaults(func=cmd_separator,
-                   config=("input", "strict", "chordal_clique", "format", "cap_n"))
-
+    for name, (func, help_text, defaults, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--output", help="output file (default stdout)")
+        config = tuple(p.add_argument(*flags, **kwargs).dest for flags, kwargs in options)
+        p.set_defaults(func=func, config=config, **defaults)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
     args.warned_raises = set()  # (default, cap) raises warned so far: each is warned once
-    if args.format is None:
-        args.format = "csv" if args.subcommand == "table" else "json"
     try:
         out = args.func(args)
         config = {"subcommand": args.subcommand, **{key: getattr(args, key) for key in args.config}}

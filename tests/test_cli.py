@@ -639,7 +639,7 @@ def test_unwritable_output_exit2(capsys, tmp_path):
     ["audit", "--k-max", str(AUDIT_K_MAX + 1)],
     ["audit", "--r-max", str(AUDIT_R_MAX + 1)],
     ["audit", "--n-max", str(AUDIT_N_MAX + 1)],
-    ["audit", "--k-max", "3000", "--r-max", "1", "--n-max", "1", "--cap-n", "5000"],
+    ["audit", "--k-max", "3000", "--r-max", "1", "--n-max", "1"],
 ])
 def test_table_and_audit_refuse_oversized_requests_exit4(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -697,16 +697,14 @@ def test_huge_arguments_get_short_stderr(capsys, tmp_path, monkeypatch, argv, en
 
 @pytest.mark.parametrize("argv, expected", [
     (["audit", "--k-max", "abc"],
-     "usage: widthlab audit [-h] [--input INPUT] [--output OUTPUT]\n"
-     "                      [--format {json,csv,text}] [--seed SEED] [--cap-n CAP_N]\n"
-     "                      [--deep] [--k-max K_MAX] [--r-max R_MAX] [--n-max N_MAX]\n"
+     "usage: widthlab audit [-h] [--output OUTPUT] [--k-max K_MAX] [--r-max R_MAX]\n"
+     "                      [--n-max N_MAX] [--format {json,csv,text}]\n"
      "widthlab audit: error: argument --k-max: invalid int value: 'abc'\n"),
     (["gen", "--family", "random", "--n", "5", "--p", "abc", "--seed", "0"],
-     "usage: widthlab gen [-h] [--input INPUT] [--output OUTPUT]\n"
-     "                    [--format {json,csv,text}] [--seed SEED] [--cap-n CAP_N]\n"
-     "                    [--deep] --family\n"
+     "usage: widthlab gen [-h] [--output OUTPUT] --family\n"
      "                    {complete,complete_binary_tree,hypercube,path,path_power,random,random_chordal,random_tree,star}\n"
      "                    [--n N] [--k K] [--d D] [--p P] [--width WIDTH]\n"
+     "                    [--seed SEED]\n"
      "widthlab gen: error: argument --p: invalid float value: 'abc'\n"),
 ], ids=["audit-k-max", "gen-p"])
 def test_short_bad_option_values_keep_argparse_message(capsys, monkeypatch, argv, expected):
@@ -818,18 +816,16 @@ def test_long_rejected_choice_gets_short_stderr(capsys, where):
 
 @pytest.mark.parametrize("where, expected", [
     ("family",
-     "usage: widthlab gen [-h] [--input INPUT] [--output OUTPUT]\n"
-     "                    [--format {json,csv,text}] [--seed SEED] [--cap-n CAP_N]\n"
-     "                    [--deep] --family\n"
+     "usage: widthlab gen [-h] [--output OUTPUT] --family\n"
      "                    {complete,complete_binary_tree,hypercube,path,path_power,random,random_chordal,random_tree,star}\n"
      "                    [--n N] [--k K] [--d D] [--p P] [--width WIDTH]\n"
+     "                    [--seed SEED]\n"
      "widthlab gen: error: argument --family: invalid choice: 'pat' (choose from 'complete', "
      "'complete_binary_tree', 'hypercube', 'path', 'path_power', 'random', 'random_chordal', "
      "'random_tree', 'star')\n"),
     ("format",
-     "usage: widthlab table [-h] [--input INPUT] [--output OUTPUT]\n"
-     "                      [--format {json,csv,text}] [--seed SEED] [--cap-n CAP_N]\n"
-     "                      [--deep] --k K [--n N] [--r R]\n"
+     "usage: widthlab table [-h] [--output OUTPUT] --k K [--n N] [--r R]\n"
+     "                      [--format {json,csv,text}]\n"
      "                      {R,N}\n"
      "widthlab table: error: argument --format: invalid choice: 'yaml' "
      "(choose from 'json', 'csv', 'text')\n"),
@@ -845,3 +841,71 @@ def test_short_rejected_choice_keeps_argparse_message(capsys, monkeypatch, where
     monkeypatch.setenv("COLUMNS", "80")
     bad = {"family": "pat", "format": "yaml", "subcommand": "frobnicate"}[where]
     assert run_or_exit(capsys, *CHOICE_ARGV[where](bad)) == (2, "", expected)
+
+
+# --- options per subcommand ------------------------------------------------------
+
+# Options that all subcommands took from one shared parser, and that these
+# subcommands neither read nor echo: each is now refused.
+DROPPED_OPTIONS = {
+    "gen": ("--input", "--format", "--cap-n", "--deep"),
+    "table": ("--input", "--seed", "--cap-n", "--deep"),
+    "audit": ("--input", "--seed", "--cap-n", "--deep"),
+    "corpus": ("--input", "--cap-n", "--deep"),
+    "hypercube-report": ("--input", "--seed", "--cap-n"),
+    "rank": ("--seed", "--deep"),
+    "separator": ("--seed", "--deep"),
+}
+VALID_ARGV = {
+    "gen": ["gen", "--family", "path", "--n", "3"],
+    "table": ["table", "R", "--k", "1", "--n", "1:3"],
+    "audit": ["audit", "--k-max", "1", "--r-max", "1", "--n-max", "1"],
+    "corpus": ["corpus", "--count", "1"],
+    "hypercube-report": ["hypercube-report", "--d", "1"],
+    "rank": ["rank", "--input", "-"],
+    "separator": ["separator", "--input", "-"],
+}
+OPTION_VALUES = {"--input": ["-"], "--format": ["json"], "--seed": ["1"], "--cap-n": ["-5"], "--deep": []}
+
+
+@pytest.mark.parametrize("argv, option", [
+    *[(VALID_ARGV[sub] + [option, *OPTION_VALUES[option]], option)
+      for sub, options in DROPPED_OPTIONS.items() for option in options],
+    ("table R --k 1 --n 1:3 --cap-n -5".split(), "--cap-n"),
+    ("corpus --count 2 --seed 1 --cap-n -5 --deep".split(), "--cap-n"),
+], ids=[f"{sub} {option}" for sub, options in DROPPED_OPTIONS.items() for option in options]
+    + ["table-cap-n-probe", "corpus-cap-n-deep-probe"])
+def test_options_a_subcommand_does_not_take_exit2(capsys, argv, option):
+    code, out, err = run_or_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert re.search(rf"unrecognized arguments: {re.escape(option)}(=| |$)", err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["compute", "verify-chain"])
+def test_solver_commands_keep_all_six_shared_options(capsys, tmp_path, command):
+    f = write_graph(tmp_path, PATH8)
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, command, "--input", f, "--output", str(target), "--format", "json",
+                         "--seed", "1", "--cap-n", "12", "--deep")
+    assert (code, out) == (0, "")
+    config = json.loads(target.read_text())["config"]
+    assert (config["input"], config["format"], config["seed"], config["cap_n"], config["deep"]) == (
+        f, "json", 1, 12, True)
+
+
+def test_readme_options_table_matches_help(capsys, monkeypatch):
+    # Each row lists the long options that `widthlab <sub> --help` prints, in order,
+    # but for --help and --output, which every subcommand takes.
+    monkeypatch.setenv("COLUMNS", "80")
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("### Options"):readme.index("### Exit codes")]
+    rows = {m[1]: re.findall(r"`(--[\w-]+)`", m[2])
+            for m in re.finditer(r"^\| `([\w-]+)` +\|(.*)\|$", section, re.M)}
+    code, out, _ = run_or_exit(capsys, "--help")
+    assert code == 0 and list(rows) == re.search(r"\{([\w,-]+)\}", out)[1].split(",")
+    for sub, options in rows.items():
+        code, out, _ = run_or_exit(capsys, sub, "--help")
+        printed = re.findall(r"^  (?:-h, )?(--[\w-]+)", out, re.M)
+        assert code == 0 and printed[:2] == ["--help", "--output"]
+        assert printed[2:] == options, sub

@@ -118,14 +118,21 @@ def test_cli_stdout_matches_golden(name, golden):
 
 # The echoed flag, masked so that `--deep` toggled can be compared.
 DEEP_ECHO = re.compile(r'("deep": |deep=)(?:true|false)')
+TAKES_DEEP = ("compute", "verify-chain", "hypercube-report")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_deep_only_raises_caps(name, golden):
     # `--deep` raises the bw and r caps, which no golden input reaches, so
     # toggling it changes no exit code and no stdout byte but its own echo.
+    # The other subcommands do not take it, and argparse exits 2 on it.
     argv, stdin_text = CASES[name]
     toggled = [a for a in argv if a != "--deep"] if "--deep" in argv else argv + ["--deep"]
+    if argv[0] not in TAKES_DEEP:
+        with pytest.raises(SystemExit) as exc:
+            run_case(toggled, stdin_text)
+        assert exc.value.code == 2
+        return
     code, out = run_case(toggled, stdin_text)
     want_code, want_out = golden[name]["code"], golden[name]["stdout"]
     assert (code, DEEP_ECHO.sub(r"\1-", out)) == (want_code, DEEP_ECHO.sub(r"\1-", want_out))
