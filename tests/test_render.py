@@ -1,5 +1,6 @@
 """The CLI's JSON writer against `json.dumps(indent=2)`, the output it replaces."""
 
+import hashlib
 import json
 
 import pytest
@@ -83,3 +84,26 @@ def test_command_json_is_json_dumps_indent_2(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# sha256 of stdout, recorded before the writer wrote in batches: each output spans many batches.
+LARGE_OUTPUTS = {
+    ("table", "R", "--k", "1:2", "--n", "0:5000", "--format", "csv"):
+        "7db120488f6c49f00f9e6b4a3f93ae78bacd6a4bb952719dbfdff2a41c929817",
+    ("table", "R", "--k", "1:2", "--n", "0:5000", "--format", "json"):
+        "c00ebf106115d8efe036730e851e2246b84eb813fc764286b02255aa7c10b5aa",
+    ("table", "N", "--k", "1:3", "--r", "0:2000", "--format", "csv"):
+        "fd652cde90c4200e63352fa64e15671f32e7b765e48e20f314b6dd93443a8c92",
+    ("table", "N", "--k", "1:3", "--r", "0:2000", "--format", "json"):
+        "21e9cf6d4f944c39ece128c20169620d4f2db608053fe44b068482f95877dda2",
+    ("audit", "--k-max", "5", "--n-max", "300", "--format", "csv"):
+        "f9de11fd5138f57f9b15bf4cb8cf81e6e2cdd6f0f9042408df2722d56e707afc",
+    ("audit", "--k-max", "5", "--n-max", "300", "--format", "json"):
+        "9b542f98ba2182bb275c359fbbee90df94a1d8d58f35c1d45358e5647a94af44",
+}
+
+
+@pytest.mark.parametrize("argv", LARGE_OUTPUTS, ids=" ".join)
+def test_large_output_is_byte_identical(capsys, argv):
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == LARGE_OUTPUTS[argv]
