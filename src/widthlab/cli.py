@@ -17,11 +17,13 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import gc
 import itertools
 import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Callable, NamedTuple
 
 from . import audit as audit_mod
@@ -71,11 +73,13 @@ class Output(NamedTuple):
     """A command's result: each format is built only if it is the one rendered.
 
     Without a JSON form a command renders as CSV, and without a text form
-    its text is CSV too; `gen` has lines only.
+    its text is CSV too; `gen` has lines only.  A list value of the JSON
+    object may be any iterator, and the CSV rows any iterable: both are
+    read and written `BATCH` at a time.
     """
 
     payload: Callable[[], dict] | None = None  # JSON object after "config"
-    rows: Callable[[], list[list]] | None = None  # CSV header and rows
+    rows: Callable[[], Iterable[Sequence]] | None = None  # CSV header, then rows
     lines: Callable[[], list[str]] | None = None
     code: int = EXIT_OK
 
@@ -89,6 +93,9 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _SCALARS = {str: _encode_str, int: int.__repr__, float: lambda x: _FLOAT_WORDS.get(repr(x)) or repr(x),
             bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 _CELLS = {bool: _SCALARS[bool], type(None): lambda _: "", float: float.__repr__}
+# Top-level JSON list items, or CSV rows, made and written at a time: enough to
+# amortise each write, few enough that a large table is never held as text.
+BATCH = 1024
 
 
 def _fmt(value) -> str:
@@ -99,14 +106,18 @@ def _refuse(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _key(key) -> str:
+    """A JSON object key: one that is no str is spelled as json spells the value, then quoted."""
+    return _encode_str(key if type(key) is str else _SCALARS.get(type(key), _refuse)(key))
+
+
 def _json(value, indent: str = "") -> str:
     """`json.dumps(value, indent=2)`, byte for byte; strings go through json's C escaper."""
     if type(value) in _SCALARS:
         return _SCALARS[type(value)](value)
     inner = indent + "  "
-    if type(value) is dict:  # a key that is no str is spelled as json spells the value, then quoted
-        items = [f"{_encode_str(k if type(k) is str else _SCALARS.get(type(k), _refuse)(k))}: "
-                 f"{_SCALARS[type(v)](v) if type(v) in _SCALARS else _json(v, inner)}"
+    if type(value) is dict:
+        items = [f"{_key(k)}: {_SCALARS[type(v)](v) if type(v) in _SCALARS else _json(v, inner)}"
                  for k, v in value.items()]
     elif type(value) is list or type(value) is tuple:
         items = _column(value, inner)
@@ -145,26 +156,76 @@ def _records(dicts, indent: str) -> list[str]:
     return out
 
 
-def render(fmt: str, config: dict, out: Output) -> str:
-    """The one place output text is made: JSON (one exact writer, byte-identical to
-    `json.dumps(indent=2)` with ASCII escapes), '#'-config CSV, or text lines."""
+def _batches(items: Iterable) -> Iterator[list]:
+    """`items` in lists of BATCH, the last one shorter (itertools.batched is Python 3.12+)."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, BATCH)):
+        yield batch
+
+
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """`_json(doc) + "\n"` for a non-empty `doc`, in chunks: a value that is a list, tuple
+    or iterator is written BATCH items at a time, so it may be made as it is written."""
+    sep = "{\n  "
+    for key, value in doc.items():
+        head = f"{sep}{_key(key)}: "
+        sep = ",\n  "
+        if not (type(value) is list or type(value) is tuple or isinstance(value, Iterator)):
+            yield head + _json(value, "  ")
+            continue
+        start = "[\n    "
+        for batch in _batches(value):
+            yield head + start + ",\n    ".join(_column(batch, "    "))
+            head, start = "", ",\n    "
+        yield (head + "[]") if head else "\n  ]"  # head is left only if the list was empty
+    yield "\n}\n"
+
+
+def _csv(rows: Iterable[Sequence]) -> str:
+    """`"".join(",".join(map(_fmt, r)) + "\n" for r in rows)`.  Each run of rows of one width is
+    written through one `%` template: a column of exact ints as `%d`, of exact strs as `%s`,
+    any other mapped through `_fmt` first."""
+    out = []
+    for width, run in itertools.groupby(rows, len):
+        run = list(run)
+        if width == 0:
+            out.append("\n" * len(run))
+            continue
+        columns, slots = [], []
+        for column in zip(*run):
+            kinds = set(map(type, column))
+            slots.append("%d" if kinds == {int} else "%s")
+            columns.append(column if kinds == {int} or kinds == {str} else list(map(_fmt, column)))
+        out.append("".join(map((",".join(slots) + "\n").__mod__, zip(*columns))))
+    return "".join(out)
+
+
+def render(fmt: str, config: dict, out: Output) -> Iterator[str]:
+    """The one place output text is made, as chunks to write in order: JSON (one exact
+    writer, byte-identical to `json.dumps(indent=2)` with ASCII escapes), '#'-config CSV,
+    or text lines."""
     if fmt == "json" and out.payload is not None:
-        return _json({"config": config, **out.payload()}) + "\n"
-    if out.rows is not None and (fmt != "text" or out.lines is None):
+        yield from _json_chunks({"config": config, **out.payload()})
+    elif out.rows is not None and (fmt != "text" or out.lines is None):
         parts = " ".join(f"{k}={_fmt(v) if v is not None else '-'}" for k, v in config.items())
-        return f"# config: {parts}\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in out.rows())
-    return "\n".join(out.lines()) + "\n"
+        rows = iter(out.rows())
+        # The header is written on its own, so that each column of the body keeps one type.
+        yield f"# config: {parts}\n" + _csv(itertools.islice(rows, 1))
+        yield from map(_csv, _batches(rows))
+    else:
+        yield "\n".join(out.lines()) + "\n"
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write each chunk as it is made, to --output or stdout."""
     if args.output and args.output != "-":
         try:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _read_graph(args):
@@ -360,13 +421,14 @@ def cmd_table(args) -> Output:
             f"({_number(size)} entries) exceeds "
             f"the caps k <= {TABLE_K_MAX}, {x_name} <= {x_max}, {TABLE_ENTRIES_MAX} entries"
         )
-    entries = []
-    for k in range(k_lo, k_hi + 1):
-        table = build(k, hi)
-        entries.extend((k, x, table[x]) for x in range(lo, hi + 1))
+    tables = [(k, build(k, hi)) for k in range(k_lo, k_hi + 1)]
+
+    def entries():
+        return ((k, x, table[x]) for k, table in tables for x in range(lo, hi + 1))
+
     return Output(
-        payload=lambda: {"entries": [{"k": k, x_name: x, "value": v} for k, x, v in entries]},
-        rows=lambda: [["k", x_name, args.what]] + [list(e) for e in entries],
+        payload=lambda: {"entries": ({"k": k, x_name: x, "value": v} for k, x, v in entries())},
+        rows=lambda: itertools.chain([("k", x_name, args.what)], entries()),
     )
 
 
@@ -386,14 +448,14 @@ def cmd_audit(args) -> Output:
         print("audit summary " + line, file=sys.stderr)
     return Output(
         payload=lambda: {
-            "findings": [f.to_json_dict() for f in findings],
+            "findings": (f.to_json_dict() for f in findings),
             "summary": summary,
             "internal_ok": internal_ok,
         },
-        rows=lambda: [["claim", "inputs", "printed", "oracle", "agree", "note"]] + [
-            [f.claim, _inputs_compact(f.inputs), f.printed, f.oracle, f.agree, f.note]
+        rows=lambda: itertools.chain([("claim", "inputs", "printed", "oracle", "agree", "note")], (
+            (f.claim, _inputs_compact(f.inputs), f.printed, f.oracle, f.agree, f.note)
             for f in findings
-        ],
+        )),
         lines=lambda: [
             f"DISAGREE {f.claim} ({_inputs_compact(f.inputs)}): "
             f"printed {f.printed} vs oracle {f.oracle}"
@@ -416,12 +478,11 @@ def cmd_corpus(args) -> Output:
     violations = sum(0 if rec.ok() else 1 for rec in records)
 
     def rows():
-        rows = [["index", "family", "n", "check", "ok"]]
+        yield "index", "family", "n", "check", "ok"
         for rec in records:
-            rows.extend([rec.index, rec.family, rec.n, c, ok] for c, ok in rec.checks.items())
+            yield from ((rec.index, rec.family, rec.n, c, ok) for c, ok in rec.checks.items())
             if rec.error:
-                rows.append([rec.index, rec.family, rec.n, "error", rec.error])
-        return rows
+                yield rec.index, rec.family, rec.n, "error", rec.error
 
     def lines():
         out = [f"graphs checked: {len(records)}", f"violations: {violations}"]
@@ -434,7 +495,7 @@ def cmd_corpus(args) -> Output:
 
     return Output(
         payload=lambda: {
-            "graphs": [rec.to_json_dict() for rec in records],
+            "graphs": (rec.to_json_dict() for rec in records),
             "summary": {"graphs": len(records), "violations": violations},
         },
         rows=rows,
@@ -529,7 +590,20 @@ def cmd_separator(args) -> Output:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, with a long rejected number, choice or subcommand shortened."""
+    """argparse, with a long rejected number, choice or subcommand shortened, each value that
+    starts like a negative number ('-5', '-1e-05', '-inf') read as a value, and an option
+    a subcommand does not take refused by that subcommand's parser."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes '-1e-05' and '-inf' for options; no option here looks like a number.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         bad = re.fullmatch(r"(argument .*?: invalid (?:choice|\w+ value): )(.*?)( \(choose from [^()]*\))?",
@@ -537,17 +611,6 @@ class _Parser(argparse.ArgumentParser):
         if bad and (quoted := _quote(ast.literal_eval(bad[2]))) != bad[2]:
             message = bad[1] + quoted  # the usage line above lists any choices
         super().error(message)
-
-
-def _join_option_values(argv: list[str]) -> list[str]:
-    """'--p -1e-05' as '--p=-1e-05', since argparse reads '-1e-05' or '-inf' as an option."""
-    out: list[str] = []
-    for token in argv:
-        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-(\.?\d|inf|nan)", token, re.I):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
 
 
 def _opt(*flags, **kwargs) -> tuple:
@@ -605,12 +668,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     args.warned_raises = set()  # (default, cap) raises warned so far: each is warned once
     try:
         out = args.func(args)
         config = {"subcommand": args.subcommand, **{key: getattr(args, key) for key in args.config}}
-        _emit(args, render(args.format, config, out))
+        # Writing makes many short-lived objects and no reference cycles, so cyclic GC is
+        # paused for it alone: the solvers above leave cycles that only a collection frees.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _emit(args, render(args.format, config, out))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         return out.code
     except WidthlabError as exc:
         code, label = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import re
@@ -12,6 +13,7 @@ from widthlab import (
     min_balanced_separator,
     separator_ranking,
 )
+from widthlab import cli as cli_mod
 from widthlab import corpus as corpus_mod
 from widthlab import errors as errors_mod
 from widthlab import graph as graph_mod
@@ -879,7 +881,10 @@ def test_options_a_subcommand_does_not_take_exit2(capsys, argv, option):
     code, out, err = run_or_exit(capsys, *argv)
     assert (code, out) == (2, "")
     assert "Traceback" not in err
-    assert re.search(rf"unrecognized arguments: {re.escape(option)}(=| |$)", err.splitlines()[-1])
+    # Refused by the subcommand's own parser, with its usage line and the tokens as typed.
+    assert err.startswith(f"usage: widthlab {argv[0]} ")
+    assert re.match(rf"widthlab {argv[0]}: error: unrecognized arguments: {re.escape(option)}( |$)",
+                    err.splitlines()[-1])
 
 
 @pytest.mark.parametrize("command", ["compute", "verify-chain"])
@@ -909,3 +914,30 @@ def test_readme_options_table_matches_help(capsys, monkeypatch):
         printed = re.findall(r"^  (?:-h, )?(--[\w-]+)", out, re.M)
         assert code == 0 and printed[:2] == ["--help", "--output"]
         assert printed[2:] == options, sub
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", ["exit-0", "widthlab-error", "render-raises"])
+def test_main_leaves_gc_as_it_found_it(capsys, monkeypatch, tmp_path, enabled, case):
+    argv = ["table", "R", "--k", "1", "--n", "0:3"]
+    paused = []
+    if case == "widthlab-error":  # the write fails while GC is paused
+        argv += ["--output", str(tmp_path / "missing" / "out.csv")]
+    if case == "render-raises":
+        def render(*args):
+            paused.append(not gc.isenabled())
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(cli_mod, "render", render)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "render-raises":
+            with pytest.raises(RuntimeError):
+                main(argv)
+            assert paused == [True]
+        else:
+            assert main(argv) == (EXIT_OK if case == "exit-0" else EXIT_USAGE)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
