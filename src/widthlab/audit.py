@@ -1,11 +1,12 @@
 """Audit of the printed closed forms against brute-force oracles.
 
-Every row compares a literal evaluation of a printed formula (or a
-printed equality condition) with a value computed from the recurrence
-itself via the adjoint recurrence.  The audit reports; it never asserts.
-Disagreements are findings, not errors -- several of the printed forms
-do diverge from the recurrence, and mapping the divergence region is
-the purpose of this module.
+Every row compares a literal evaluation of a printed formula (or a printed
+equality condition) with a value read off a table that `table` prints:
+`build_R_table` for Eq1 and T6-equality, `build_N_table` (the adjoint
+recurrence `N_adjoint` in closed form) for C6.x.  The audit reports; it
+never asserts.  Disagreements are findings, not errors -- several of the
+printed forms do diverge from the recurrence, and mapping the divergence
+region is the purpose of this module.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .closed_forms import (
-    N_adjoint,
     R_explicit,
     R_rec,
     bound_claim63,
     bound_thm6,
+    build_N_table,
+    build_R_table,
     claim61_value,
     claim62_value,
     fmin_boundary_holds,
@@ -74,12 +76,12 @@ def _equality_predicted(k: int, n: int) -> int:
 def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
     """Full findings stream, deterministic order.
 
-    Eq1 rows cross-check the two evaluation routes of the recurrence;
-    C6.x rows check the adjoint closed forms (k = 1 is outside their
-    stated domain and appears with agree = None); T6-equality rows check
-    the equality characterization of the logarithmic bound; T12 rows
-    check both readings of the hypercube bandwidth formula against the
-    exact solver at small dimension.
+    Eq1 rows check the explicit closed form against `build_R_table`, the
+    values `table R` prints, and T6-equality rows the equality cases of the
+    logarithmic bound against the same table; C6.x rows check the adjoint
+    closed forms against `build_N_table` (k = 1 is outside their stated
+    domain and appears with agree = None); T12 rows check both readings of
+    the hypercube bandwidth formula against the exact solver at small d.
     """
     if k_max < 1 or r_max < 1 or n_max < 1:
         raise DomainError("audit bounds must be >= 1")
@@ -90,50 +92,44 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
         )
     findings: list[AuditFinding] = []
 
-    def row(claim: str, inputs: dict, printed: int, oracle: int) -> None:
-        findings.append(AuditFinding(claim, inputs, printed, oracle, printed == oracle))
+    def row(claim: str, inputs: dict, printed: int | None, oracle: int | None) -> None:
+        # With no printed value, the inputs are out of the claim's domain.
+        agree = None if printed is None else printed == oracle
+        findings.append(AuditFinding(claim, inputs, printed, oracle, agree,
+                                     OUT_OF_DOMAIN if agree is None else ""))
 
-    def out_of_domain(claim: str, inputs: dict, oracle: int | None = None) -> None:
-        findings.append(AuditFinding(claim, inputs, None, oracle, None, OUT_OF_DOMAIN))
+    tables = [(k, build_R_table(k, n_max), build_N_table(k, r_max)) for k in range(1, k_max + 1)]
 
-    for k in range(1, k_max + 1):
+    for k, R, _ in tables:
         for n in range(0, n_max + 1):
-            row("Eq1", {"k": k, "n": n}, R_explicit(k, n), R_rec(k, n))
+            row("Eq1", {"k": k, "n": n}, R_explicit(k, n), R[n])
 
-    for k in range(1, k_max + 1):
+    for k, _, N in tables:
         for j in range(1, r_max + 1):
-            oracle = N_adjoint(k, j) - N_adjoint(k, j - 1)
-            if k == 1:
-                out_of_domain("C6.1", {"k": k, "j": j}, oracle)
-            else:
-                row("C6.1", {"k": k, "j": j}, claim61_value(k, j), oracle)
+            row("C6.1", {"k": k, "j": j}, claim61_value(k, j) if k > 1 else None, N[j] - N[j - 1])
 
-    for k in range(1, k_max + 1):
+    for k, _, N in tables:
         for r in range(1, r_max + 1):
-            oracle = N_adjoint(k, r)
-            if k == 1:
-                out_of_domain("C6.2", {"k": k, "r": r}, oracle)
-            else:
-                row("C6.2", {"k": k, "r": r}, claim62_value(k, r), oracle)
+            row("C6.2", {"k": k, "r": r}, claim62_value(k, r) if k > 1 else None, N[r])
 
     # C6.3 splits into the inequality itself, its claimed equality cases,
     # and the x = 0 minimality of the interpolating function that the
     # proof's calculus argument rests on.
-    for k in range(1, k_max + 1):
+    for k, _, N in tables:
         for r in range(1, r_max + 1):
             if k == 1:
-                out_of_domain("C6.3", {"k": k, "r": r, "part": "leq"})
+                row("C6.3", {"k": k, "r": r, "part": "leq"}, None, None)
                 continue
-            b = bound_claim63(k, N_adjoint(k, r))
+            b = bound_claim63(k, N[r])
             row("C6.3", {"k": k, "r": r, "part": "leq"}, 1, int(b.leq(r)))
             row("C6.3", {"k": k, "r": r, "part": "eq"}, int(r % k == 0), int(b.eq(r)))
         for x in range(1, k):
             row("C6.3", {"k": k, "x": x, "part": "fmin"}, 1, int(fmin_boundary_holds(k, x)))
 
-    for k in range(1, k_max + 1):
+    for k, R, _ in tables:
         for n in range(1, n_max + 1):
             row("T6-equality", {"k": k, "n": n}, _equality_predicted(k, n),
-                int(bound_thm6(k, n).eq(R_rec(k, n))))
+                int(bound_thm6(k, n).eq(R[n])))
 
     for d in (1, 2, 3):
         exact, _ = bandwidth(hypercube(d))
@@ -157,7 +153,7 @@ def audit_summary(findings: list[AuditFinding]) -> dict:
 
 
 def audit_internal_ok(findings: list[AuditFinding]) -> bool:
-    """True iff the two internal routes for the recurrence agree everywhere.
+    """True iff the explicit closed form agrees with the printed R table everywhere.
 
     Eq1 disagreements would mean this package's own closed-form
     evaluation is broken, as opposed to a finding about an audited

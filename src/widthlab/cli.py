@@ -249,7 +249,7 @@ def _read_graph(args):
 
 def _effective_cap(args, default: int, deep_default: int | None = None,
                    layout_search: bool = False) -> int:
-    """The cap in force, refused if negative; a raise above `default` is warned once per (default, cap).
+    """The cap in force, refused if negative; a raise above `default` is warned, each distinct warning once.
     The warning names the cost: subset states, or with `layout_search` (bandwidth)
     the fixed n ceiling that no cap raises."""
     env = os.environ.get(ENV_CAP)
@@ -265,11 +265,13 @@ def _effective_cap(args, default: int, deep_default: int | None = None,
     if cap < 0:
         source = "--cap-n" if args.cap_n is not None else ENV_CAP
         raise UsageError(f"{source} must be >= 0, got {_number(cap)}")
-    if cap > default and (default, cap) not in args.warned_raises:
-        args.warned_raises.add((default, cap))
+    if cap > default:
         cost = (f"bandwidth keeps no subset table, and refuses n > {BW_SEARCH_MAX_N} whatever the cap"
                 if layout_search else f"expect on the order of 2^{_number(cap)} subset states")
-        print(f"warning: cap raised {default} -> {_number(cap)}; {cost}", file=sys.stderr)
+        warning = f"warning: cap raised {default} -> {_number(cap)}; {cost}"
+        if warning not in args.warned_raises:
+            args.warned_raises.add(warning)
+            print(warning, file=sys.stderr)
     return cap
 
 
@@ -669,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
-    args.warned_raises = set()  # (default, cap) raises warned so far: each is warned once
+    args.warned_raises = set()  # cap-raise warnings printed so far: each is printed once
     try:
         out = args.func(args)
         config = {"subcommand": args.subcommand, **{key: getattr(args, key) for key in args.config}}

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+import widthlab.audit
 from widthlab import (
     DomainError,
     N_adjoint,
+    R_explicit,
     SizeLimitExceeded,
     audit_claims,
     audit_summary,
@@ -20,6 +22,8 @@ from widthlab.audit import (
     _equality_predicted,
     audit_internal_ok,
 )
+from widthlab.cli import main
+from widthlab.closed_forms import build_R_table
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +60,33 @@ def test_base_region_agreements(findings):
 def test_eq1_never_disagrees(findings):
     assert audit_internal_ok(findings)
     assert all(f.agree for f in findings if f.claim == "Eq1")
+
+
+def test_eq1_compares_with_the_printed_R_table(monkeypatch, capsys):
+    # Eq1's oracle is the table `table R` prints, so a wrong entry there is an Eq1
+    # disagreement and fails the audit run.
+    def build_R_table_off_by_one(k, n_max):
+        table = build_R_table(k, n_max)
+        if k == 2:
+            table[5] += 1
+        return table
+
+    monkeypatch.setattr(widthlab.audit, "build_R_table", build_R_table_off_by_one)
+    findings = audit_claims(3, 4, 8)
+    assert [f for f in findings if f.claim == "Eq1" and not f.agree] == [
+        AuditFinding("Eq1", {"k": 2, "n": 5}, R_explicit(2, 5), R_explicit(2, 5) + 1, False)]
+    assert not audit_internal_ok(findings)
+    assert main(["audit", "--k-max", "3", "--r-max", "4", "--n-max", "8"]) == 1
+    assert json.loads(capsys.readouterr().out)["internal_ok"] is False
+
+
+def test_every_row_follows_the_constructor_rule(findings):
+    # No printed value means out of the claim's domain; otherwise agree is printed == oracle.
+    for f in findings:
+        if f.printed is None:
+            assert (f.agree, f.note) == (None, OUT_OF_DOMAIN), f
+        else:
+            assert (f.agree, f.note) == (f.printed == f.oracle, ""), f
 
 
 def test_out_of_domain_rows(findings):

@@ -491,26 +491,25 @@ def test_negative_cap_exit2(capsys, tmp_path, monkeypatch, command, source):
     assert (code, out) == (4, "") and err.startswith("error: size limit: ")
 
 
+def _cap_warning(default, cap, layout_search=False):
+    cost = (f"bandwidth keeps no subset table, and refuses n > {BW_SEARCH_MAX_N} whatever the cap"
+            if layout_search else f"expect on the order of 2^{cap} subset states")
+    return f"warning: cap raised {default} -> {cap}; {cost}"
+
+
 @pytest.mark.parametrize("flags, raises", [
-    (["--cap-n", "30"], [(12, 30), (18, 30), (16, 30)]),
-    (["--deep", "--cap-n", "30"], [(12, 30), (18, 30), (16, 30)]),
-    (["--deep"], [(12, 16), (16, 20)]),
+    (["--cap-n", "30"], [(12, 30), (18, 30), (12, 30, True), (16, 30)]),
+    (["--deep", "--cap-n", "30"], [(12, 30), (18, 30), (12, 30, True), (16, 30)]),
+    (["--deep"], [(12, 16, True), (16, 20)]),
 ])
 def test_each_cap_raise_is_warned_once(capsys, tmp_path, flags, raises):
-    # s, s_strict and bw share the default cap 12; a raise they share is one warning.
-    # Only bw raises 12 -> 16, and its layout search keeps no subset table.
+    # Each distinct warning is printed once: s and s_strict share one for 12, tw and pw
+    # one for 18. bw's raise from 12 has its own, since its layout search keeps no subset table.
     f = write_graph(tmp_path, PATH8)
     for command in ("compute", "verify-chain"):
         code, _, err = run(capsys, command, "--input", f, *flags)
         assert code in (0, 1)
-        assert err.splitlines() == [
-            f"warning: cap raised {default} -> {cap}; bandwidth keeps no subset table, and "
-            f"refuses n > {BW_SEARCH_MAX_N} whatever the cap"
-            if (default, cap) == (12, 16) else
-            f"warning: cap raised {default} -> {cap}; expect on the order of "
-            f"2^{cap} subset states"
-            for default, cap in raises
-        ]
+        assert err.splitlines() == [_cap_warning(*r) for r in raises]
 
 
 def test_bandwidth_cap_raise_makes_no_subset_state_claim(capsys, tmp_path):
@@ -518,7 +517,8 @@ def test_bandwidth_cap_raise_makes_no_subset_state_claim(capsys, tmp_path):
     code, _, err = run(capsys, "compute", "--input", f, "--params", "bw,s", "--cap-n", "30")
     assert code == 0
     assert err == (f"warning: cap raised 12 -> 30; bandwidth keeps no subset table, and "
-                   f"refuses n > {BW_SEARCH_MAX_N} whatever the cap\n")
+                   f"refuses n > {BW_SEARCH_MAX_N} whatever the cap\n"
+                   f"warning: cap raised 12 -> 30; expect on the order of 2^30 subset states\n")
 
 
 def test_rank_with_too_small_k_exit2(capsys, tmp_path):
