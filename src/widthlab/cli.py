@@ -74,14 +74,22 @@ class Output(NamedTuple):
 
     Without a JSON form a command renders as CSV, and without a text form
     its text is CSV too; `gen` has lines only.  A list value of the JSON
-    object may be any iterator, and the CSV rows any iterable: both are
-    read and written `BATCH` at a time.
+    object may be any iterator or a `Records`, and the CSV rows any
+    iterable: both are read and written `BATCH` at a time.
     """
 
     payload: Callable[[], dict] | None = None  # JSON object after "config"
     rows: Callable[[], Iterable[Sequence]] | None = None  # CSV header, then rows
     lines: Callable[[], list[str]] | None = None
     code: int = EXIT_OK
+
+
+class Records(NamedTuple):
+    """A top-level JSON list of objects that all have the str `keys`, in that order, given
+    as the tuples of their values: written through `_record_run`, with no dict per item."""
+
+    keys: tuple[str, ...]
+    values: Iterable[Sequence]
 
 
 # ---------------------------------------------------------------------------
@@ -140,20 +148,26 @@ def _column(values, indent: str) -> list[str]:
 
 def _records(dicts, indent: str) -> list[str]:
     """Each run of two or more dicts with the same str keys, in the same order, is written
-    through one `%` template: an all-int column as `%d`, any other as its `_column`."""
-    inner = indent + "  "
+    through `_record_run`, any other dict through `_json`."""
     out: list[str] = []
     for keys, run in itertools.groupby(dicts, tuple):
         run = list(run)
         if len(run) < 2 or set(map(type, keys)) != {str}:  # (1,) == (True,), yet json spells them apart
             out.extend(_json(d, indent) for d in run)
-            continue
-        columns = list(zip(*map(dict.values, run)))
-        ints = [set(map(type, c)) == {int} for c in columns]  # %d makes no str per cell: less time and memory
-        slots = (f"{_encode_str(k).replace('%', '%%')}: %{'d' if i else 's'}" for k, i in zip(keys, ints))
-        template = f"{{\n{inner}" + f",\n{inner}".join(slots) + f"\n{indent}}}"
-        out.extend(map(template.__mod__, zip(*[c if i else _column(c, inner) for c, i in zip(columns, ints)])))
+        else:
+            out.extend(_record_run(keys, map(dict.values, run), indent))
     return out
+
+
+def _record_run(keys: Sequence[str], value_tuples: Iterable[Sequence], indent: str) -> Iterator[str]:
+    """The JSON objects that map the str `keys`, at least one, to each tuple of values, through
+    one `%` template: an all-int column as `%d`, any other as its `_column`."""
+    inner = indent + "  "
+    columns = list(zip(*value_tuples))
+    ints = [set(map(type, c)) == {int} for c in columns]  # %d makes no str per cell: less time and memory
+    slots = (f"{_encode_str(k).replace('%', '%%')}: %{'d' if i else 's'}" for k, i in zip(keys, ints))
+    template = f"{{\n{inner}" + f",\n{inner}".join(slots) + f"\n{indent}}}"
+    return map(template.__mod__, zip(*[c if i else _column(c, inner) for c, i in zip(columns, ints)]))
 
 
 def _batches(items: Iterable) -> Iterator[list]:
@@ -164,18 +178,22 @@ def _batches(items: Iterable) -> Iterator[list]:
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """`_json(doc) + "\n"` for a non-empty `doc`, in chunks: a value that is a list, tuple
-    or iterator is written BATCH items at a time, so it may be made as it is written."""
+    """`_json(doc) + "\n"` for a non-empty `doc`, in chunks: a value that is a list, tuple,
+    iterator or `Records` is written BATCH items at a time, so it may be made as it is written."""
     sep = "{\n  "
     for key, value in doc.items():
         head = f"{sep}{_key(key)}: "
         sep = ",\n  "
-        if not (type(value) is list or type(value) is tuple or isinstance(value, Iterator)):
+        if type(value) is Records:
+            items, column = value.values, functools.partial(_record_run, value.keys)
+        elif type(value) is list or type(value) is tuple or isinstance(value, Iterator):
+            items, column = value, _column
+        else:
             yield head + _json(value, "  ")
             continue
         start = "[\n    "
-        for batch in _batches(value):
-            yield head + start + ",\n    ".join(_column(batch, "    "))
+        for batch in _batches(items):
+            yield head + start + ",\n    ".join(column(batch, "    "))
             head, start = "", ",\n    "
         yield (head + "[]") if head else "\n  ]"  # head is left only if the list was empty
     yield "\n}\n"
@@ -429,7 +447,7 @@ def cmd_table(args) -> Output:
         return ((k, x, table[x]) for k, table in tables for x in range(lo, hi + 1))
 
     return Output(
-        payload=lambda: {"entries": ({"k": k, x_name: x, "value": v} for k, x, v in entries())},
+        payload=lambda: {"entries": Records(("k", x_name, "value"), entries())},
         rows=lambda: itertools.chain([("k", x_name, args.what)], entries()),
     )
 

@@ -215,10 +215,11 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytea
 
     f[S] = |S| if S is balanced, else the max over one-vertex removals,
     a scan that stops at |S| - 1, the most any removal leaves.  S is
-    balanced iff lc[S] is within the limit.  With C the component of the
+    balanced iff lc[S] is within the limit, read from a list of the
+    limits by |S| built once per fill.  With C the component of the
     lowest vertex of S, walked layer by layer through
-    `neighbourhood_tables`, lc[S] = max(|C|, lc[S - C]), and S - C < S
-    is already filled.
+    `neighbourhood_tables`, lc[S] = max(|C|, lc[S - C]), taken by one
+    compare, and S - C < S is already filled.
 
     Q is read during the fill, so no second sweep over the subsets runs.
     G[S] needs a separator of |S| - f[S] vertices; a later mask replaces
@@ -230,15 +231,20 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytea
     lc = bytearray(1 << n)
     w, lo, hi = neighbourhood_tables(g)
     m = (1 << w) - 1
+    limits = [_limit(k, strict) for k in range(n + 1)]
     q, q_need, q_size = g.full_mask, 0, n
     for s_mask in range(1, 1 << n):
         comp, grown = 0, s_mask & -s_mask
         while grown != comp:
             comp = grown
             grown = (lo[comp & m] | hi[comp >> w] | comp) & s_mask
-        lc[s_mask] = max(comp.bit_count(), lc[s_mask ^ comp])
+        largest = comp.bit_count()
+        rest_largest = lc[s_mask ^ comp]
+        if rest_largest > largest:
+            largest = rest_largest
+        lc[s_mask] = largest
         size = s_mask.bit_count()
-        if lc[s_mask] <= _limit(size, strict):
+        if largest <= limits[size]:
             f[s_mask] = size
             continue
         best = 0

@@ -140,14 +140,19 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
             comp = grown
             grown = (lo[comp & m] | hi[comp >> w] | comp) & mask
         if comp != mask:
-            r = max(rank_any(comp), rank_any(mask ^ comp))
+            r = rank_any(comp)
+            other = rank_any(mask ^ comp)
+            if other > r:
+                r = other
         else:
             rest = mask & (mask - 1)
             first = best = rank_any(rest)
             while rest and best == first > 1:
                 low = rest & -rest
                 rest ^= low
-                best = min(best, rank_any(mask ^ low))
+                other = rank_any(mask ^ low)
+                if other < best:
+                    best = other
             r = best + 1
         table[mask] = r
         return r

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import cli
-from widthlab.cli import BATCH, Output, _csv, _fmt, _json, main, render
+from widthlab.cli import BATCH, Output, Records, _csv, _fmt, _json, main, render
 
 TEXT = st.text(st.characters(blacklist_categories=()))  # surrogates and controls too
 SCALARS = st.one_of(
@@ -162,6 +162,17 @@ def test_batched_json_matches_json_dumps(count, lazy):
     source = {**payload, "entries": iter(items)} if lazy else payload
     text = "".join(render("json", CONFIG, Output(payload=lambda: source)))
     assert text == json.dumps({"config": CONFIG, **payload}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1])
+def test_records_match_their_dicts(count):
+    """A `Records` value writes the bytes of the list of dicts it stands for."""
+    items = _entries(count)
+    rows = [(d["k"], d["n"], d["value"] if d["n"] % 5 else [d["n"], "%s"]) for d in items]
+    dicts = [dict(zip(("k", "n", "value"), row)) for row in rows]
+    out = Output(payload=lambda: {"entries": Records(("k", "n", "value"), iter(rows)), "ok": True})
+    text = "".join(render("json", CONFIG, out))
+    assert text == json.dumps({"config": CONFIG, "entries": dicts, "ok": True}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1])

@@ -260,6 +260,8 @@ BALANCE_GRAPHS += [
     star(8),
     hypercube(3),
 ]
+# n = 11, sparse (its hardest subgraph is proper) and dense, near the n = 10-12 the benchmark runs.
+BALANCE_GRAPHS += [random_graph(11, p, 2811) for p in (0.3, 0.7)]
 
 
 @pytest.mark.parametrize("i", range(len(BALANCE_GRAPHS)))

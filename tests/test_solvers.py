@@ -33,6 +33,8 @@ from widthlab import (
     treewidth,
     verify_chain,
 )
+from widthlab import separators as separators_mod
+from widthlab import solvers as solvers_mod
 from widthlab.separators import (
     MIN_SEPARATOR_CAP,
     SEPARATOR_NUMBER_CAP,
@@ -460,6 +462,34 @@ def test_verify_chain_reports_violation_without_raising():
     assert not rep.thm9_ok
     assert rep.thm2_ok  # the older chain still holds
     assert rep.thm9_bound_holds  # only the s <= tw link is broken
+
+
+def test_verify_chain_reaches_each_traced_solver_once(monkeypatch):
+    # A tracer wraps the module attributes that hold a solver and splits the
+    # separator number by its `strict` flag, so each strictness and cycle rank
+    # must be reached once per graph, through a module-level name.
+    calls = []
+    separator = separators_mod.separator_number_with_witness
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            strict = fn is separator and kwargs.get("strict", args[1] if len(args) > 1 else False)
+            calls.append((fn.__name__, strict))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (separator, solvers_mod.cycle_rank):
+        wrapper = counting(fn)
+        for mod in (separators_mod, solvers_mod):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    verify_chain(random_graph(8, 0.5, 2400))
+    assert sorted(calls) == [
+        ("cycle_rank", False),
+        ("separator_number_with_witness", False),
+        ("separator_number_with_witness", True),
+    ]
 
 
 def test_report_json_schema():
