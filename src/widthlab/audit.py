@@ -11,6 +11,7 @@ region is the purpose of this module.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .closed_forms import (
@@ -73,8 +74,51 @@ def _equality_predicted(k: int, n: int) -> int:
     return int(n % k == 0 and q >= 2 and q & (q - 1) == 0)
 
 
-def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
-    """Full findings stream, deterministic order.
+class AuditBlock(NamedTuple):
+    """The findings of one claim that share their input names and domain, as plain rows.
+
+    There is at least one row, each `(*inputs, printed, oracle)`, the inputs in `keys`
+    order.  Every column holds one type: the printed values are all None (the inputs are
+    out of the claim's domain) or all ints, and the oracle values are all None or all ints.
+    """
+
+    claim: str
+    keys: tuple[str, ...]
+    rows: list[tuple]
+
+    @property
+    def in_domain(self) -> bool:
+        return self.rows[0][-2] is not None
+
+    def agreements(self) -> int:
+        """How many rows agree: 0 out of the claim's domain, else those with printed == oracle."""
+        return sum(row[-2] == row[-1] for row in self.rows) if self.in_domain else 0
+
+
+class AuditFindings:
+    """The blocks of one audit run.  Iterating yields each row as an `AuditFinding`, made
+    only as it is reached; `len` is the number of rows."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: list[AuditBlock]):
+        self.blocks = blocks
+
+    def __iter__(self) -> Iterator[AuditFinding]:
+        for claim, keys, rows in self.blocks:
+            for row in rows:
+                printed, oracle = row[-2:]
+                # With no printed value, the inputs are out of the claim's domain.
+                agree = None if printed is None else printed == oracle
+                yield AuditFinding(claim, dict(zip(keys, row)), printed, oracle, agree,
+                                   OUT_OF_DOMAIN if agree is None else "")
+
+    def __len__(self) -> int:
+        return sum(len(block.rows) for block in self.blocks)
+
+
+def audit_claims(k_max: int, r_max: int, n_max: int) -> AuditFindings:
+    """Full findings stream, deterministic order, in blocks of one claim at one k.
 
     Eq1 rows check the explicit closed form against `build_R_table`, the
     values `table R` prints, and T6-equality rows the equality cases of the
@@ -90,76 +134,68 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> list[AuditFinding]:
             f"audit bounds k_max={_number(k_max)}, r_max={_number(r_max)}, n_max={_number(n_max)} "
             f"exceed the caps {AUDIT_K_MAX}, {AUDIT_R_MAX}, {AUDIT_N_MAX}"
         )
-    findings: list[AuditFinding] = []
-
-    def row(claim: str, inputs: dict, printed: int | None, oracle: int | None) -> None:
-        # With no printed value, the inputs are out of the claim's domain.
-        agree = None if printed is None else printed == oracle
-        findings.append(AuditFinding(claim, inputs, printed, oracle, agree,
-                                     OUT_OF_DOMAIN if agree is None else ""))
-
     tables = [(k, build_R_table(k, n_max), build_N_table(k, r_max)) for k in range(1, k_max + 1)]
+    rs = range(1, r_max + 1)
 
-    for k, R, _ in tables:
-        for n in range(0, n_max + 1):
-            row("Eq1", {"k": k, "n": n}, R_explicit(k, n), R[n])
-
-    for k, _, N in tables:
-        for j in range(1, r_max + 1):
-            row("C6.1", {"k": k, "j": j}, claim61_value(k, j) if k > 1 else None, N[j] - N[j - 1])
-
-    for k, _, N in tables:
-        for r in range(1, r_max + 1):
-            row("C6.2", {"k": k, "r": r}, claim62_value(k, r) if k > 1 else None, N[r])
+    blocks = [AuditBlock("Eq1", ("k", "n"), [(k, n, R_explicit(k, n), R[n]) for n in range(n_max + 1)])
+              for k, R, _ in tables]
+    blocks += [AuditBlock("C6.1", ("k", "j"),
+                          [(k, j, claim61_value(k, j) if k > 1 else None, N[j] - N[j - 1]) for j in rs])
+               for k, _, N in tables]
+    blocks += [AuditBlock("C6.2", ("k", "r"), [(k, r, claim62_value(k, r) if k > 1 else None, N[r]) for r in rs])
+               for k, _, N in tables]
 
     # C6.3 splits into the inequality itself, its claimed equality cases,
     # and the x = 0 minimality of the interpolating function that the
     # proof's calculus argument rests on.
     for k, _, N in tables:
-        for r in range(1, r_max + 1):
-            if k == 1:
-                row("C6.3", {"k": k, "r": r, "part": "leq"}, None, None)
-                continue
+        if k == 1:
+            blocks.append(AuditBlock("C6.3", ("k", "r", "part"), [(k, r, "leq", None, None) for r in rs]))
+            continue
+        rows = []
+        for r in rs:
             b = bound_claim63(k, N[r])
-            row("C6.3", {"k": k, "r": r, "part": "leq"}, 1, int(b.leq(r)))
-            row("C6.3", {"k": k, "r": r, "part": "eq"}, int(r % k == 0), int(b.eq(r)))
-        for x in range(1, k):
-            row("C6.3", {"k": k, "x": x, "part": "fmin"}, 1, int(fmin_boundary_holds(k, x)))
+            rows += (k, r, "leq", 1, int(b.leq(r))), (k, r, "eq", int(r % k == 0), int(b.eq(r)))
+        blocks.append(AuditBlock("C6.3", ("k", "r", "part"), rows))
+        blocks.append(AuditBlock("C6.3", ("k", "x", "part"),
+                                 [(k, x, "fmin", 1, int(fmin_boundary_holds(k, x))) for x in range(1, k)]))
 
-    for k, R, _ in tables:
-        for n in range(1, n_max + 1):
-            row("T6-equality", {"k": k, "n": n}, _equality_predicted(k, n),
-                int(bound_thm6(k, n).eq(R[n])))
+    blocks += [AuditBlock("T6-equality", ("k", "n"),
+                          [(k, n, _equality_predicted(k, n), int(bound_thm6(k, n).eq(R[n])))
+                           for n in range(1, n_max + 1)])
+               for k, R, _ in tables]
 
+    rows = []
     for d in (1, 2, 3):
         exact, _ = bandwidth(hypercube(d))
-        for variant in ("printed", "standard"):
-            row("T12-harper", {"d": d, "variant": variant}, harper_bandwidth(d, variant), exact)
+        rows += [(d, variant, harper_bandwidth(d, variant), exact) for variant in ("printed", "standard")]
+    blocks.append(AuditBlock("T12-harper", ("d", "variant"), rows))
 
-    return findings
+    return AuditFindings(blocks)
 
 
-def audit_summary(findings: list[AuditFinding]) -> dict:
+def audit_summary(findings: AuditFindings) -> dict:
     """Agree/disagree/out-of-domain counts per claim, in claim-id order."""
     summary = {c: {"agree": 0, "disagree": 0, "out_of_domain": 0} for c in CLAIM_IDS}
-    for f in findings:
-        if f.agree is None:
-            summary[f.claim]["out_of_domain"] += 1
-        elif f.agree:
-            summary[f.claim]["agree"] += 1
+    for block in findings.blocks:
+        counts = summary[block.claim]
+        if block.in_domain:
+            agree = block.agreements()
+            counts["agree"] += agree
+            counts["disagree"] += len(block.rows) - agree
         else:
-            summary[f.claim]["disagree"] += 1
+            counts["out_of_domain"] += len(block.rows)
     return summary
 
 
-def audit_internal_ok(findings: list[AuditFinding]) -> bool:
+def audit_internal_ok(findings: AuditFindings) -> bool:
     """True iff the explicit closed form agrees with the printed R table everywhere.
 
     Eq1 disagreements would mean this package's own closed-form
     evaluation is broken, as opposed to a finding about an audited
     claim; they fail the audit run.
     """
-    return all(f.agree for f in findings if f.claim == "Eq1")
+    return all(b.agreements() == len(b.rows) for b in findings.blocks if b.claim == "Eq1")
 
 
 # ---------------------------------------------------------------------------

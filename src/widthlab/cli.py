@@ -74,8 +74,9 @@ class Output(NamedTuple):
 
     Without a JSON form a command renders as CSV, and without a text form
     its text is CSV too; `gen` has lines only.  A list value of the JSON
-    object may be any iterator or a `Records`, and the CSV rows any
-    iterable: both are read and written `BATCH` at a time.
+    object may be any iterator, a `Records` or a `Written`, and the CSV
+    rows any iterable or a `Written`: both are read and written `BATCH`
+    at a time.
     """
 
     payload: Callable[[], dict] | None = None  # JSON object after "config"
@@ -90,6 +91,13 @@ class Records(NamedTuple):
 
     keys: tuple[str, ...]
     values: Iterable[Sequence]
+
+
+class Written(NamedTuple):
+    """A top-level JSON list, or a CSV body, whose items are already text: JSON items as
+    `_json(item, "    ")` spells them, CSV lines with their newline.  Written BATCH at a time."""
+
+    items: Iterable[str]
 
 
 # ---------------------------------------------------------------------------
@@ -136,27 +144,11 @@ def _json(value, indent: str = "") -> str:
 
 
 def _column(values, indent: str) -> list[str]:
-    """`[_json(v, indent) for v in values]`: one `map` when the values share a scalar type,
-    and a list of dicts as records."""
+    """`[_json(v, indent) for v in values]`, by one `map` when the values share a scalar type."""
     types = set(map(type, values))
     if len(types) == 1 and (kind := next(iter(types))) in _SCALARS:
         return list(map(_SCALARS[kind], values))
-    if types == {dict}:
-        return _records(values, indent)
     return [_json(v, indent) for v in values]
-
-
-def _records(dicts, indent: str) -> list[str]:
-    """Each run of two or more dicts with the same str keys, in the same order, is written
-    through `_record_run`, any other dict through `_json`."""
-    out: list[str] = []
-    for keys, run in itertools.groupby(dicts, tuple):
-        run = list(run)
-        if len(run) < 2 or set(map(type, keys)) != {str}:  # (1,) == (True,), yet json spells them apart
-            out.extend(_json(d, indent) for d in run)
-        else:
-            out.extend(_record_run(keys, map(dict.values, run), indent))
-    return out
 
 
 def _record_run(keys: Sequence[str], value_tuples: Iterable[Sequence], indent: str) -> Iterator[str]:
@@ -179,13 +171,16 @@ def _batches(items: Iterable) -> Iterator[list]:
 
 def _json_chunks(doc: dict) -> Iterator[str]:
     """`_json(doc) + "\n"` for a non-empty `doc`, in chunks: a value that is a list, tuple,
-    iterator or `Records` is written BATCH items at a time, so it may be made as it is written."""
+    iterator, `Records` or `Written` is written BATCH items at a time, so it may be made as
+    it is written."""
     sep = "{\n  "
     for key, value in doc.items():
         head = f"{sep}{_key(key)}: "
         sep = ",\n  "
         if type(value) is Records:
             items, column = value.values, functools.partial(_record_run, value.keys)
+        elif type(value) is Written:
+            items, column = value.items, lambda batch, indent: batch
         elif type(value) is list or type(value) is tuple or isinstance(value, Iterator):
             items, column = value, _column
         else:
@@ -226,10 +221,15 @@ def render(fmt: str, config: dict, out: Output) -> Iterator[str]:
         yield from _json_chunks({"config": config, **out.payload()})
     elif out.rows is not None and (fmt != "text" or out.lines is None):
         parts = " ".join(f"{k}={_fmt(v) if v is not None else '-'}" for k, v in config.items())
-        rows = iter(out.rows())
-        # The header is written on its own, so that each column of the body keeps one type.
-        yield f"# config: {parts}\n" + _csv(itertools.islice(rows, 1))
-        yield from map(_csv, _batches(rows))
+        rows = out.rows()
+        if type(rows) is Written:
+            head, body = "", map("".join, _batches(rows.items))
+        else:
+            rows = iter(rows)
+            # The header is written on its own, so that each column of the body keeps one type.
+            head, body = _csv(itertools.islice(rows, 1)), map(_csv, _batches(rows))
+        yield f"# config: {parts}\n" + head
+        yield from body
     else:
         yield "\n".join(out.lines()) + "\n"
 
@@ -452,8 +452,43 @@ def cmd_table(args) -> Output:
     )
 
 
-def _inputs_compact(inputs: dict) -> str:
-    return ";".join(f"{k}={v}" for k, v in inputs.items())
+def _literal(text: str) -> str:
+    """`text` as fixed text of a `%` template."""
+    return text.replace("%", "%%")
+
+
+def _finding_lines(block: audit_mod.AuditBlock, fmt: str) -> Iterable[str]:
+    """The findings of `block` as CSV lines, as items of the top-level JSON list, or as text
+    lines (disagreements only), through one `%` template per agree verdict.
+
+    Each column of a block holds one type: an int column is written as `%d`, a str column
+    as `%s` (JSON-escaped first in JSON), and a column of None into the template."""
+    claim, keys, rows = block
+    slots = [{int: "%d", str: "%s", type(None): None}[kind] for kind in map(type, rows[0])]
+    if None in slots or (fmt == "json" and "%s" in slots):
+        values = list(zip(*[map(_encode_str, column) if fmt == "json" and slot == "%s" else column
+                            for column, slot in zip(zip(*rows), slots) if slot]))
+    else:
+        values = rows
+    *inputs, printed, oracle = [slot or ("null" if fmt == "json" else "") for slot in slots]
+    if fmt == "json":
+        head = (_literal(f'{{\n      "claim": {_encode_str(claim)},\n      "inputs": {{\n        ')
+                + ",\n        ".join(f"{_literal(_key(k))}: {slot}" for k, slot in zip(keys, inputs))
+                + f'\n      }},\n      "printed": {printed},\n      "oracle": {oracle},\n      "agree": ')
+        false, true = head + "false\n    }", head + "true\n    }"
+        unclaimed = head + f'null,\n      "note": {_literal(_encode_str(audit_mod.OUT_OF_DOMAIN))}\n    }}'
+    else:
+        claim = _literal(claim)
+        compact = ";".join(f"{_literal(k)}={slot}" for k, slot in zip(keys, inputs))
+        line = f"{claim},{compact},{printed},{oracle},"
+        false, true = line + "false,\n", line + "true,\n"
+        unclaimed = line + f",{_literal(audit_mod.OUT_OF_DOMAIN)}\n"
+    if fmt == "text":
+        disagree = f"DISAGREE {claim} ({compact}): printed {printed} vs oracle {oracle}"
+        return [disagree % v for row, v in zip(rows, values) if row[-2] != row[-1]] if block.in_domain else []
+    if not block.in_domain:
+        return map(unclaimed.__mod__, values)
+    return [(true if row[-2] == row[-1] else false) % v for row, v in zip(rows, values)]
 
 
 def cmd_audit(args) -> Output:
@@ -466,22 +501,16 @@ def cmd_audit(args) -> Output:
     ]
     for line in counts:
         print("audit summary " + line, file=sys.stderr)
+
+    def written(fmt: str) -> Iterator[str]:
+        return itertools.chain.from_iterable(_finding_lines(block, fmt) for block in findings.blocks)
+
     return Output(
         payload=lambda: {
-            "findings": (f.to_json_dict() for f in findings),
-            "summary": summary,
-            "internal_ok": internal_ok,
+            "findings": Written(written("json")), "summary": summary, "internal_ok": internal_ok,
         },
-        rows=lambda: itertools.chain([("claim", "inputs", "printed", "oracle", "agree", "note")], (
-            (f.claim, _inputs_compact(f.inputs), f.printed, f.oracle, f.agree, f.note)
-            for f in findings
-        )),
-        lines=lambda: [
-            f"DISAGREE {f.claim} ({_inputs_compact(f.inputs)}): "
-            f"printed {f.printed} vs oracle {f.oracle}"
-            for f in findings
-            if f.agree is False
-        ] + [""] + counts,
+        rows=lambda: Written(itertools.chain(["claim,inputs,printed,oracle,agree,note\n"], written("csv"))),
+        lines=lambda: [*written("text"), "", *counts],
         code=EXIT_OK if internal_ok else EXIT_FAILED,
     )
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import widthlab.audit
 from widthlab import cli
+from widthlab.audit import CLAIM_IDS, audit_claims
 from widthlab.cli import BATCH, Output, Records, _csv, _fmt, _json, main, render
 
 TEXT = st.text(st.characters(blacklist_categories=()))  # surrogates and controls too
@@ -91,6 +93,7 @@ def test_command_json_is_json_dumps_indent_2(capsys, argv):
 
 
 # sha256 of stdout, recorded before the writer wrote in batches: each output spans many batches.
+# The audit text at the caps was recorded before findings were written in blocks.
 LARGE_OUTPUTS = {
     ("table", "R", "--k", "1:2", "--n", "0:5000", "--format", "csv"):
         "7db120488f6c49f00f9e6b4a3f93ae78bacd6a4bb952719dbfdff2a41c929817",
@@ -104,6 +107,8 @@ LARGE_OUTPUTS = {
         "f9de11fd5138f57f9b15bf4cb8cf81e6e2cdd6f0f9042408df2722d56e707afc",
     ("audit", "--k-max", "5", "--n-max", "300", "--format", "json"):
         "9b542f98ba2182bb275c359fbbee90df94a1d8d58f35c1d45358e5647a94af44",
+    ("audit", "--k-max", "16", "--r-max", "256", "--n-max", "1024", "--format", "text"):
+        "75f75397c11709fae97cc47ad39e739c3871b883332089f1da22099f6733f2c2",
 }
 
 
@@ -215,3 +220,70 @@ def test_writing_the_largest_table_n_json_peaks_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# Audit bounds (k_max, r_max, n_max): each bound at 1, and finding counts of 12, BATCH - 1,
+# BATCH and BATCH + 1.
+AUDIT_GRID = [(1, 1, 1), (4, 20, 1), (1, 30, 5), (3, 3, 163), (1, 1, 507), (3, 1, 167), (4, 8, 111),
+              (2, 4, 247)]
+
+
+def test_audit_grid_spans_a_batch():
+    assert {len(audit_claims(*bounds)) for bounds in AUDIT_GRID} >= {BATCH - 1, BATCH, BATCH + 1}
+
+
+def _audit_reference(bounds, fmt) -> tuple[int, str]:
+    """Exit code and stdout of `audit`, written from each finding as its own `AuditFinding`."""
+    findings = list(audit_claims(*bounds))
+    summary = {c: {"agree": 0, "disagree": 0, "out_of_domain": 0} for c in CLAIM_IDS}
+    for f in findings:
+        summary[f.claim]["out_of_domain" if f.agree is None else "agree" if f.agree else "disagree"] += 1
+    internal_ok = all(f.agree for f in findings if f.claim == "Eq1")
+    config = {"subcommand": "audit", **dict(zip(("k_max", "r_max", "n_max"), bounds)), "format": fmt}
+    if fmt == "json":
+        doc = {"config": config, "findings": [f.to_json_dict() for f in findings], "summary": summary,
+               "internal_ok": internal_ok}
+        text = json.dumps(doc, indent=2) + "\n"
+    elif fmt == "csv":
+        rows = [("claim", "inputs", "printed", "oracle", "agree", "note")] + [
+            (f.claim, ";".join(f"{k}={v}" for k, v in f.inputs.items()), f.printed, f.oracle, f.agree, f.note)
+            for f in findings]
+        text = "# config: " + " ".join(f"{k}={v}" for k, v in config.items()) + "\n" + _csv_reference(rows)
+    else:
+        lines = [f"DISAGREE {f.claim} ({';'.join(f'{k}={v}' for k, v in f.inputs.items())}): "
+                 f"printed {f.printed} vs oracle {f.oracle}" for f in findings if f.agree is False]
+        counts = [f"{c}: agree={n['agree']} disagree={n['disagree']} out_of_domain={n['out_of_domain']}"
+                  for c, n in summary.items()]
+        text = "\n".join(lines + [""] + counts) + "\n"
+    return (0 if internal_ok else 1), text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("bounds", AUDIT_GRID, ids=str)
+def test_audit_blocks_write_the_bytes_of_their_findings(capsys, bounds, fmt):
+    argv = ["audit", "--k-max", str(bounds[0]), "--r-max", str(bounds[1]), "--n-max", str(bounds[2]),
+            "--format", fmt]
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == _audit_reference(bounds, fmt)
+
+
+def test_audit_writes_no_finding_object(monkeypatch, capsys):
+    """Findings are written from their blocks: `main` builds no `AuditFinding` in any format,
+    and every block is one type per column, printed all None or all int, as the writer needs."""
+    built = []
+    finding = widthlab.audit.AuditFinding
+
+    def counted(*args):
+        built.append(args)
+        return finding(*args)
+
+    monkeypatch.setattr(widthlab.audit, "AuditFinding", counted)
+    for fmt in ("csv", "json", "text"):
+        assert main(["audit", "--k-max", "5", "--r-max", "25", "--n-max", "210", "--format", fmt]) == 0
+    assert built == []
+    assert len(list(audit_claims(2, 3, 3))) == len(built) > 0  # the count does see a finding built
+    for bounds in [(1, 1, 1), (5, 25, 210), (16, 256, 1024)]:
+        for block in audit_claims(*bounds).blocks:
+            kinds = [set(map(type, column)) for column in zip(*block.rows)]
+            assert all(len(k) == 1 for k in kinds) and kinds[-2] <= {int, type(None)}, block.claim
+            assert block.in_domain == (None not in {row[-2] for row in block.rows})
