@@ -11,10 +11,12 @@ region is the purpose of this module.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from typing import NamedTuple
 
 from .closed_forms import (
+    Log2Bound,
     R_explicit,
     R_rec,
     bound_claim63,
@@ -25,6 +27,7 @@ from .closed_forms import (
     claim62_value,
     fmin_boundary_holds,
     harper_bandwidth,
+    thm6_bounds,
 )
 from .errors import DomainError, SizeLimitExceeded
 from .graph import _number, hypercube
@@ -75,24 +78,31 @@ def _equality_predicted(k: int, n: int) -> int:
 
 
 class AuditBlock(NamedTuple):
-    """The findings of one claim that share their input names and domain, as plain rows.
+    """The findings of one claim that share their input names and domain, as columns.
 
-    There is at least one row, each `(*inputs, printed, oracle)`, the inputs in `keys`
-    order.  Every column holds one type: the printed values are all None (the inputs are
-    out of the claim's domain) or all ints, and the oracle values are all None or all ints.
+    `shared` holds the inputs that every finding of the block has alike (so a writer spells
+    them once), `keys` names the others.  `columns` holds one sequence per key, then the
+    printed values, the oracle values and the verdicts, all of one length (at least 1) and
+    each of one type: the printed values and the verdicts are all None (the inputs are out
+    of the claim's domain), or all ints and all bools.
     """
 
     claim: str
+    shared: dict
     keys: tuple[str, ...]
-    rows: list[tuple]
+    columns: list
 
-    @property
-    def in_domain(self) -> bool:
-        return self.rows[0][-2] is not None
 
-    def agreements(self) -> int:
-        """How many rows agree: 0 out of the claim's domain, else those with printed == oracle."""
-        return sum(row[-2] == row[-1] for row in self.rows) if self.in_domain else 0
+def _block(claim: str, shared: dict, keys: tuple[str, ...], *columns) -> AuditBlock:
+    """The block of `columns`: one per key, then the printed values (None out of the claim's
+    domain) and the oracle values.  Each finding's verdict is decided here, and nowhere else:
+    printed == oracle, or None out of the claim's domain."""
+    *inputs, printed, oracle = columns
+    if printed is None:
+        printed = agree = [None] * len(oracle)
+    else:
+        agree = list(map(operator.eq, printed, oracle))
+    return AuditBlock(claim, shared, keys, [*inputs, printed, oracle, agree])
 
 
 class AuditFindings:
@@ -105,16 +115,13 @@ class AuditFindings:
         self.blocks = blocks
 
     def __iter__(self) -> Iterator[AuditFinding]:
-        for claim, keys, rows in self.blocks:
-            for row in rows:
-                printed, oracle = row[-2:]
-                # With no printed value, the inputs are out of the claim's domain.
-                agree = None if printed is None else printed == oracle
-                yield AuditFinding(claim, dict(zip(keys, row)), printed, oracle, agree,
+        for claim, shared, keys, columns in self.blocks:
+            for *inputs, printed, oracle, agree in zip(*columns):
+                yield AuditFinding(claim, {**shared, **dict(zip(keys, inputs))}, printed, oracle, agree,
                                    OUT_OF_DOMAIN if agree is None else "")
 
     def __len__(self) -> int:
-        return sum(len(block.rows) for block in self.blocks)
+        return sum(len(block.columns[-1]) for block in self.blocks)
 
 
 def audit_claims(k_max: int, r_max: int, n_max: int) -> AuditFindings:
@@ -135,14 +142,12 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> AuditFindings:
             f"exceed the caps {AUDIT_K_MAX}, {AUDIT_R_MAX}, {AUDIT_N_MAX}"
         )
     tables = [(k, build_R_table(k, n_max), build_N_table(k, r_max)) for k in range(1, k_max + 1)]
-    rs = range(1, r_max + 1)
+    ns, rs = range(n_max + 1), range(1, r_max + 1)
 
-    blocks = [AuditBlock("Eq1", ("k", "n"), [(k, n, R_explicit(k, n), R[n]) for n in range(n_max + 1)])
-              for k, R, _ in tables]
-    blocks += [AuditBlock("C6.1", ("k", "j"),
-                          [(k, j, claim61_value(k, j) if k > 1 else None, N[j] - N[j - 1]) for j in rs])
-               for k, _, N in tables]
-    blocks += [AuditBlock("C6.2", ("k", "r"), [(k, r, claim62_value(k, r) if k > 1 else None, N[r]) for r in rs])
+    blocks = [_block("Eq1", {"k": k}, ("n",), ns, [R_explicit(k, n) for n in ns], R) for k, R, _ in tables]
+    blocks += [_block("C6.1", {"k": k}, ("j",), rs, [claim61_value(k, j) for j in rs] if k > 1 else None,
+                      list(map(operator.sub, N[1:], N))) for k, _, N in tables]
+    blocks += [_block("C6.2", {"k": k}, ("r",), rs, [claim62_value(k, r) for r in rs] if k > 1 else None, N[1:])
                for k, _, N in tables]
 
     # C6.3 splits into the inequality itself, its claimed equality cases,
@@ -150,26 +155,26 @@ def audit_claims(k_max: int, r_max: int, n_max: int) -> AuditFindings:
     # proof's calculus argument rests on.
     for k, _, N in tables:
         if k == 1:
-            blocks.append(AuditBlock("C6.3", ("k", "r", "part"), [(k, r, "leq", None, None) for r in rs]))
+            blocks.append(_block("C6.3", {"k": k}, ("r", "part"), rs, ["leq"] * r_max, None, [None] * r_max))
             continue
         rows = []
         for r in rs:
             b = bound_claim63(k, N[r])
-            rows += (k, r, "leq", 1, int(b.leq(r))), (k, r, "eq", int(r % k == 0), int(b.eq(r)))
-        blocks.append(AuditBlock("C6.3", ("k", "r", "part"), rows))
-        blocks.append(AuditBlock("C6.3", ("k", "x", "part"),
-                                 [(k, x, "fmin", 1, int(fmin_boundary_holds(k, x))) for x in range(1, k)]))
+            rows += (r, "leq", 1, int(b.leq(r))), (r, "eq", int(r % k == 0), int(b.eq(r)))
+        blocks.append(_block("C6.3", {"k": k}, ("r", "part"), *zip(*rows)))
+        xs = range(1, k)
+        blocks.append(_block("C6.3", {"k": k}, ("x", "part"), xs, ["fmin"] * len(xs), [1] * len(xs),
+                             [int(fmin_boundary_holds(k, x)) for x in xs]))
 
-    blocks += [AuditBlock("T6-equality", ("k", "n"),
-                          [(k, n, _equality_predicted(k, n), int(bound_thm6(k, n).eq(R[n])))
-                           for n in range(1, n_max + 1)])
+    blocks += [_block("T6-equality", {"k": k}, ("n",), ns[1:], [_equality_predicted(k, n) for n in ns[1:]],
+                      list(map(int, map(Log2Bound.eq, thm6_bounds(k, ns[1:]), R[1:]))))
                for k, R, _ in tables]
 
     rows = []
     for d in (1, 2, 3):
         exact, _ = bandwidth(hypercube(d))
         rows += [(d, variant, harper_bandwidth(d, variant), exact) for variant in ("printed", "standard")]
-    blocks.append(AuditBlock("T12-harper", ("d", "variant"), rows))
+    blocks.append(_block("T12-harper", {}, ("d", "variant"), *zip(*rows)))
 
     return AuditFindings(blocks)
 
@@ -178,13 +183,10 @@ def audit_summary(findings: AuditFindings) -> dict:
     """Agree/disagree/out-of-domain counts per claim, in claim-id order."""
     summary = {c: {"agree": 0, "disagree": 0, "out_of_domain": 0} for c in CLAIM_IDS}
     for block in findings.blocks:
-        counts = summary[block.claim]
-        if block.in_domain:
-            agree = block.agreements()
-            counts["agree"] += agree
-            counts["disagree"] += len(block.rows) - agree
-        else:
-            counts["out_of_domain"] += len(block.rows)
+        counts, agree = summary[block.claim], block.columns[-1]
+        counts["agree"] += agree.count(True)
+        counts["disagree"] += agree.count(False)
+        counts["out_of_domain"] += agree.count(None)
     return summary
 
 
@@ -195,7 +197,7 @@ def audit_internal_ok(findings: AuditFindings) -> bool:
     evaluation is broken, as opposed to a finding about an audited
     claim; they fail the audit run.
     """
-    return all(b.agreements() == len(b.rows) for b in findings.blocks if b.claim == "Eq1")
+    return all(all(b.columns[-1]) for b in findings.blocks if b.claim == "Eq1")
 
 
 # ---------------------------------------------------------------------------

@@ -74,30 +74,24 @@ class Output(NamedTuple):
 
     Without a JSON form a command renders as CSV, and without a text form
     its text is CSV too; `gen` has lines only.  A list value of the JSON
-    object may be any iterator, a `Records` or a `Written`, and the CSV
-    rows any iterable or a `Written`: both are read and written `BATCH`
-    at a time.
+    object is a list of `Block`s, or a list, tuple or iterator of plain
+    values; `rows` gives the CSV header and the `Block`s of the body.  Both
+    are written `BATCH` items at a time, and an iterator of values or of
+    blocks is read only as it is written.
     """
 
     payload: Callable[[], dict] | None = None  # JSON object after "config"
-    rows: Callable[[], Iterable[Sequence]] | None = None  # CSV header, then rows
+    rows: Callable[[], tuple[Sequence[str], Iterable[Block]]] | None = None  # CSV header, body blocks
     lines: Callable[[], list[str]] | None = None
     code: int = EXIT_OK
 
 
-class Records(NamedTuple):
-    """A top-level JSON list of objects that all have the str `keys`, in that order, given
-    as the tuples of their values: written through `_record_run`, with no dict per item."""
+class Block(NamedTuple):
+    """Rows of one shape, given as their columns (sequences of one length, at least one) and
+    written by `_filled` through one `%` template that has one `%s` slot per column."""
 
-    keys: tuple[str, ...]
-    values: Iterable[Sequence]
-
-
-class Written(NamedTuple):
-    """A top-level JSON list, or a CSV body, whose items are already text: JSON items as
-    `_json(item, "    ")` spells them, CSV lines with their newline.  Written BATCH at a time."""
-
-    items: Iterable[str]
+    template: str
+    columns: Sequence[Sequence]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,7 @@ class Written(NamedTuple):
 _encode_str = json.encoder.encode_basestring_ascii
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _SCALARS = {str: _encode_str, int: int.__repr__, float: lambda x: _FLOAT_WORDS.get(repr(x)) or repr(x),
-            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+            bool: {False: "false", True: "true"}.__getitem__, type(None): lambda _: "null"}
 _CELLS = {bool: _SCALARS[bool], type(None): lambda _: "", float: float.__repr__}
 # Top-level JSON list items, or CSV rows, made and written at a time: enough to
 # amortise each write, few enough that a large table is never held as text.
@@ -151,15 +145,25 @@ def _column(values, indent: str) -> list[str]:
     return [_json(v, indent) for v in values]
 
 
-def _record_run(keys: Sequence[str], value_tuples: Iterable[Sequence], indent: str) -> Iterator[str]:
-    """The JSON objects that map the str `keys`, at least one, to each tuple of values, through
-    one `%` template: an all-int column as `%d`, any other as its `_column`."""
+def _literal(text: str) -> str:
+    """`text` as fixed text of a `%` template."""
+    return text.replace("%", "%%")
+
+
+def _json_template(shape: dict, indent: str = "    ") -> str:
+    """The `%` template of the JSON objects laid out as `shape`, each an item of a top-level
+    list (or nested at `indent`): a value `...` is a slot, a dict value a nested object, and
+    any other value fixed text."""
     inner = indent + "  "
-    columns = list(zip(*value_tuples))
-    ints = [set(map(type, c)) == {int} for c in columns]  # %d makes no str per cell: less time and memory
-    slots = (f"{_encode_str(k).replace('%', '%%')}: %{'d' if i else 's'}" for k, i in zip(keys, ints))
-    template = f"{{\n{inner}" + f",\n{inner}".join(slots) + f"\n{indent}}}"
-    return map(template.__mod__, zip(*[c if i else _column(c, inner) for c, i in zip(columns, ints)]))
+    items = [_literal(f"{_key(key)}: ") + ("%s" if value is ... else _json_template(value, inner)
+                                            if type(value) is dict else _literal(_json(value, inner)))
+             for key, value in shape.items()]
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+
+
+def _csv_body(header: Sequence[str], rows: Iterable[Sequence]) -> tuple[Sequence[str], list[Block]]:
+    """A CSV header, and a body of `rows` with one cell per column of it."""
+    return header, [Block(",".join(["%s"] * len(header)) + "\n", list(zip(*rows)) or [()])]
 
 
 def _batches(items: Iterable) -> Iterator[list]:
@@ -169,48 +173,53 @@ def _batches(items: Iterable) -> Iterator[list]:
         yield batch
 
 
+def _filled(blocks: Iterable[Block], cells: dict, other: Callable) -> Iterator[Iterator[str]]:
+    """The rows of `blocks`, each filled into its block's template, in batches of BATCH that
+    may span blocks, the last one shorter.  Per block and batch, a column that is a range or
+    all exact ints fills its slots as it is, and any other has each cell spelled by
+    `cells[type]`, else `other`: by one `map` when the cells share a type.  A batch fills its
+    rows as it is read, so their text lives only inside the join that reads it."""
+    parts, count = [], 0
+    for template, columns in blocks:
+        start, stop = 0, len(columns[0])
+        while start < stop:
+            end = min(stop, start + BATCH - count)
+            batch = [column[start:end] for column in columns]
+            for i, column in enumerate(batch):
+                if type(column) is not range and (kinds := set(map(type, column))) != {int}:
+                    batch[i] = (map(cells.get(kinds.pop(), other), column) if len(kinds) == 1
+                                else [cells.get(type(v), other)(v) for v in column])
+            parts.append(map(template.__mod__, zip(*batch)))
+            count += end - start
+            start = end
+            if count == BATCH:
+                yield itertools.chain.from_iterable(parts)
+                parts, count = [], 0
+    if parts:
+        yield itertools.chain.from_iterable(parts)
+
+
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """`_json(doc) + "\n"` for a non-empty `doc`, in chunks: a value that is a list, tuple,
-    iterator, `Records` or `Written` is written BATCH items at a time, so it may be made as
-    it is written."""
+    """`_json(doc) + "\n"` for a non-empty `doc`, in chunks: a value that is a list, tuple or
+    iterator is written BATCH items at a time, so it may be made as it is written, and a list
+    of `Block`s as the JSON items of their rows."""
     sep = "{\n  "
     for key, value in doc.items():
         head = f"{sep}{_key(key)}: "
         sep = ",\n  "
-        if type(value) is Records:
-            items, column = value.values, functools.partial(_record_run, value.keys)
-        elif type(value) is Written:
-            items, column = value.items, lambda batch, indent: batch
+        if type(value) is list and value and type(value[0]) is Block:
+            batches = _filled(value, _SCALARS, functools.partial(_json, indent="      "))
         elif type(value) is list or type(value) is tuple or isinstance(value, Iterator):
-            items, column = value, _column
+            batches = map(functools.partial(_column, indent="    "), _batches(value))
         else:
             yield head + _json(value, "  ")
             continue
         start = "[\n    "
-        for batch in _batches(items):
-            yield head + start + ",\n    ".join(column(batch, "    "))
+        for batch in batches:
+            yield head + start + ",\n    ".join(batch)
             head, start = "", ",\n    "
         yield (head + "[]") if head else "\n  ]"  # head is left only if the list was empty
     yield "\n}\n"
-
-
-def _csv(rows: Iterable[Sequence]) -> str:
-    """`"".join(",".join(map(_fmt, r)) + "\n" for r in rows)`.  Each run of rows of one width is
-    written through one `%` template: a column of exact ints as `%d`, of exact strs as `%s`,
-    any other mapped through `_fmt` first."""
-    out = []
-    for width, run in itertools.groupby(rows, len):
-        run = list(run)
-        if width == 0:
-            out.append("\n" * len(run))
-            continue
-        columns, slots = [], []
-        for column in zip(*run):
-            kinds = set(map(type, column))
-            slots.append("%d" if kinds == {int} else "%s")
-            columns.append(column if kinds == {int} or kinds == {str} else list(map(_fmt, column)))
-        out.append("".join(map((",".join(slots) + "\n").__mod__, zip(*columns))))
-    return "".join(out)
 
 
 def render(fmt: str, config: dict, out: Output) -> Iterator[str]:
@@ -221,15 +230,9 @@ def render(fmt: str, config: dict, out: Output) -> Iterator[str]:
         yield from _json_chunks({"config": config, **out.payload()})
     elif out.rows is not None and (fmt != "text" or out.lines is None):
         parts = " ".join(f"{k}={_fmt(v) if v is not None else '-'}" for k, v in config.items())
-        rows = out.rows()
-        if type(rows) is Written:
-            head, body = "", map("".join, _batches(rows.items))
-        else:
-            rows = iter(rows)
-            # The header is written on its own, so that each column of the body keeps one type.
-            head, body = _csv(itertools.islice(rows, 1)), map(_csv, _batches(rows))
-        yield f"# config: {parts}\n" + head
-        yield from body
+        header, blocks = out.rows()
+        yield f"# config: {parts}\n" + ",".join(header) + "\n"
+        yield from map("".join, _filled(blocks, _CELLS, str))
     else:
         yield "\n".join(out.lines()) + "\n"
 
@@ -382,10 +385,10 @@ def cmd_compute(args) -> Output:
         values[p], witnesses[p] = PARAMS[p].run(g, caps[p])
     return Output(
         payload=lambda: {"n": g.n, "values": values, "witnesses": witnesses},
-        rows=lambda: [
+        rows=lambda: _csv_body(
             ["n"] + wanted + [f"witness_{p}" for p in wanted],
-            [g.n] + [values[p] for p in wanted] + [_witness_compact(witnesses[p]) for p in wanted],
-        ],
+            [[g.n] + [values[p] for p in wanted] + [_witness_compact(witnesses[p]) for p in wanted]],
+        ),
         lines=lambda: [f"n = {g.n}"] + [f"{p} = {values[p]}" for p in wanted],
     )
 
@@ -410,11 +413,10 @@ def cmd_verify_chain(args) -> Output:
     cols = ["n", *PARAMS, "thm9_ok", "thm2_ok"]
     return Output(
         payload=report.to_json_dict,
-        rows=lambda: [
+        rows=lambda: _csv_body(
             cols + ["thm9_bound", "thm2_bound"],
-            [getattr(report, c) for c in cols]
-            + [report.thm9_bound_display, report.thm2_bound_display],
-        ],
+            [[getattr(report, c) for c in cols] + [report.thm9_bound_display, report.thm2_bound_display]],
+        ),
         lines=lambda: _chain_lines(report),
         code=EXIT_OK if report.thm9_ok and report.thm2_ok else EXIT_FAILED,
     )
@@ -442,53 +444,36 @@ def cmd_table(args) -> Output:
             f"the caps k <= {TABLE_K_MAX}, {x_name} <= {x_max}, {TABLE_ENTRIES_MAX} entries"
         )
     tables = [(k, build(k, hi)) for k in range(k_lo, k_hi + 1)]
-
-    def entries():
-        return ((k, x, table[x]) for k, table in tables for x in range(lo, hi + 1))
-
+    for _, values in tables:
+        del values[:lo]  # in place: a slice would hold a copy beside each table
+    xs = range(lo, hi + 1)
     return Output(
-        payload=lambda: {"entries": Records(("k", x_name, "value"), entries())},
-        rows=lambda: itertools.chain([("k", x_name, args.what)], entries()),
+        payload=lambda: {"entries": [Block(_json_template({"k": k, x_name: ..., "value": ...}), (xs, values))
+                                     for k, values in tables]},
+        rows=lambda: (("k", x_name, args.what), [Block(f"{k},%s,%s\n", (xs, values)) for k, values in tables]),
     )
 
 
-def _literal(text: str) -> str:
-    """`text` as fixed text of a `%` template."""
-    return text.replace("%", "%%")
-
-
-def _finding_lines(block: audit_mod.AuditBlock, fmt: str) -> Iterable[str]:
-    """The findings of `block` as CSV lines, as items of the top-level JSON list, or as text
-    lines (disagreements only), through one `%` template per agree verdict.
-
-    Each column of a block holds one type: an int column is written as `%d`, a str column
-    as `%s` (JSON-escaped first in JSON), and a column of None into the template."""
-    claim, keys, rows = block
-    slots = [{int: "%d", str: "%s", type(None): None}[kind] for kind in map(type, rows[0])]
-    if None in slots or (fmt == "json" and "%s" in slots):
-        values = list(zip(*[map(_encode_str, column) if fmt == "json" and slot == "%s" else column
-                            for column, slot in zip(zip(*rows), slots) if slot]))
-    else:
-        values = rows
-    *inputs, printed, oracle = [slot or ("null" if fmt == "json" else "") for slot in slots]
-    if fmt == "json":
-        head = (_literal(f'{{\n      "claim": {_encode_str(claim)},\n      "inputs": {{\n        ')
-                + ",\n        ".join(f"{_literal(_key(k))}: {slot}" for k, slot in zip(keys, inputs))
-                + f'\n      }},\n      "printed": {printed},\n      "oracle": {oracle},\n      "agree": ')
-        false, true = head + "false\n    }", head + "true\n    }"
-        unclaimed = head + f'null,\n      "note": {_literal(_encode_str(audit_mod.OUT_OF_DOMAIN))}\n    }}'
-    else:
-        claim = _literal(claim)
-        compact = ";".join(f"{_literal(k)}={slot}" for k, slot in zip(keys, inputs))
-        line = f"{claim},{compact},{printed},{oracle},"
-        false, true = line + "false,\n", line + "true,\n"
-        unclaimed = line + f",{_literal(audit_mod.OUT_OF_DOMAIN)}\n"
-    if fmt == "text":
-        disagree = f"DISAGREE {claim} ({compact}): printed {printed} vs oracle {oracle}"
-        return [disagree % v for row, v in zip(rows, values) if row[-2] != row[-1]] if block.in_domain else []
-    if not block.in_domain:
-        return map(unclaimed.__mod__, values)
-    return [(true if row[-2] == row[-1] else false) % v for row, v in zip(rows, values)]
+def _audit_blocks(findings: audit_mod.AuditFindings, fmt: str) -> list[Block]:
+    """The findings as blocks of JSON list items or CSV lines, or of text lines that name the
+    disagreements alone.  The inputs that a block's findings share are fixed text."""
+    blocks = []
+    for claim, shared, keys, columns in findings.blocks:
+        note = audit_mod.OUT_OF_DOMAIN if columns[-1][0] is None else ""
+        if fmt == "json":
+            shape = {"claim": claim, "inputs": {**shared, **dict.fromkeys(keys, ...)},
+                     "printed": ..., "oracle": ..., "agree": ...}
+            blocks.append(Block(_json_template({**shape, "note": note} if note else shape), columns))
+            continue
+        inputs = ";".join([*(_literal(f"{key}={_fmt(value)}") for key, value in shared.items()),
+                           *(_literal(key) + "=%s" for key in keys)])
+        if fmt == "csv":
+            blocks.append(Block(f"{_literal(claim)},{inputs},%s,%s,%s,{_literal(note)}\n", columns))
+        else:
+            disagree = [agree is False for agree in columns[-1]]
+            blocks.append(Block(f"DISAGREE {_literal(claim)} ({inputs}): printed %s vs oracle %s",
+                                [list(itertools.compress(column, disagree)) for column in columns[:-1]]))
+    return blocks
 
 
 def cmd_audit(args) -> Output:
@@ -502,15 +487,13 @@ def cmd_audit(args) -> Output:
     for line in counts:
         print("audit summary " + line, file=sys.stderr)
 
-    def written(fmt: str) -> Iterator[str]:
-        return itertools.chain.from_iterable(_finding_lines(block, fmt) for block in findings.blocks)
-
     return Output(
         payload=lambda: {
-            "findings": Written(written("json")), "summary": summary, "internal_ok": internal_ok,
+            "findings": _audit_blocks(findings, "json"), "summary": summary, "internal_ok": internal_ok,
         },
-        rows=lambda: Written(itertools.chain(["claim,inputs,printed,oracle,agree,note\n"], written("csv"))),
-        lines=lambda: [*written("text"), "", *counts],
+        rows=lambda: (("claim", "inputs", "printed", "oracle", "agree", "note"), _audit_blocks(findings, "csv")),
+        lines=lambda: [*itertools.chain.from_iterable(_filled(_audit_blocks(findings, "text"), _CELLS, str)),
+                       "", *counts],
         code=EXIT_OK if internal_ok else EXIT_FAILED,
     )
 
@@ -527,7 +510,6 @@ def cmd_corpus(args) -> Output:
     violations = sum(0 if rec.ok() else 1 for rec in records)
 
     def rows():
-        yield "index", "family", "n", "check", "ok"
         for rec in records:
             yield from ((rec.index, rec.family, rec.n, c, ok) for c, ok in rec.checks.items())
             if rec.error:
@@ -547,7 +529,7 @@ def cmd_corpus(args) -> Output:
             "graphs": (rec.to_json_dict() for rec in records),
             "summary": {"graphs": len(records), "violations": violations},
         },
-        rows=rows,
+        rows=lambda: _csv_body(("index", "family", "n", "check", "ok"), rows()),
         lines=lines,
         code=EXIT_OK if violations == 0 else EXIT_FAILED,
     )
@@ -566,7 +548,7 @@ def cmd_hypercube_report(args) -> Output:
     bw, bounds = report["bw"], report["bounds"]
     return Output(
         payload=lambda: report,
-        rows=lambda: [["field", "value"]] + _flat_rows(report),
+        rows=lambda: _csv_body(["field", "value"], _flat_rows(report)),
         lines=lambda: [
             f"hypercube d={report['d']} (n={report['n']})",
             f"bandwidth:  exact={bw['exact']} printed-formula={bw['harper_printed']} "
@@ -599,7 +581,7 @@ def cmd_rank(args) -> Output:
     levels = sorted(ranking.level.items())
     return Output(
         payload=lambda: {"k": k, **ranking.to_json_dict()},
-        rows=lambda: [["vertex", "level"]] + [[v, l] for v, l in levels],
+        rows=lambda: _csv_body(["vertex", "level"], levels),
         lines=lambda: [f"k = {k}", f"height = {ranking.height}"]
         + [f"vertex {v}: level {l}" for v, l in levels],
     )
@@ -620,11 +602,11 @@ def cmd_separator(args) -> Output:
     c = cert.to_json_dict()
     return Output(
         payload=lambda: {**head, "certificate": c},
-        rows=lambda: [
+        rows=lambda: _csv_body(
             ["x", "component_sizes", "balanced", "strictly_balanced"],
-            [" ".join(map(str, c["x"])), " ".join(map(str, c["component_sizes"])),
-             c["balanced"], c["strictly_balanced"]],
-        ],
+            [[" ".join(map(str, c["x"])), " ".join(map(str, c["component_sizes"])),
+              c["balanced"], c["strictly_balanced"]]],
+        ),
         lines=lambda: [
             f"x = {c['x']}",
             f"component sizes = {c['component_sizes']}",

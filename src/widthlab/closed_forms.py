@@ -9,6 +9,7 @@ and never feed a verdict.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from math import comb
 from typing import NamedTuple
 
@@ -145,7 +146,15 @@ def bound_thm6(k: int, n: int) -> Log2Bound:
     _check_k(k)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return Log2Bound(k**k, (2 * n) ** k, k * (1.0 + math.log2(n / k)))
+    den, num, _ = next(thm6_bounds(k, [n]))
+    return Log2Bound(den, num, k * (1.0 + math.log2(n / k)))
+
+
+def thm6_bounds(k: int, ns: Iterable[int]) -> Iterator[Log2Bound]:
+    """`bound_thm6(k, n)` for each n >= 1 of `ns`, with k^k made once and no display (NaN)."""
+    _check_k(k)
+    den = k**k
+    return (Log2Bound(den, (2 * n) ** k, math.nan) for n in ns)
 
 
 def bound_log_chain(s: int, n: int) -> Log2Bound:

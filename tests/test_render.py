@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import widthlab.audit
 from widthlab import cli
 from widthlab.audit import CLAIM_IDS, audit_claims
-from widthlab.cli import BATCH, Output, Records, _csv, _fmt, _json, main, render
+from widthlab.cli import BATCH, Block, Output, _csv_body, _fmt, _json, _json_template, main, render
 
 TEXT = st.text(st.characters(blacklist_categories=()))  # surrogates and controls too
 SCALARS = st.one_of(
@@ -144,26 +144,25 @@ CELLS = st.one_of(
 )
 # A column drawn from one of these is all int, all str, all bool, or mixed.
 COLUMNS = st.sampled_from([st.integers(min_value=-(2**70), max_value=2**70), TEXT, st.booleans(), CELLS])
-# Runs of rows, each run of one width (0 to 4) with one strategy per column.
-ROWS = st.lists(
-    st.lists(COLUMNS, max_size=4).flatmap(lambda cols: st.lists(st.tuples(*cols).map(list), max_size=5)),
-    max_size=4,
-).map(lambda runs: [row for run in runs for row in run])
+# Rows of one width (1 to 4), with one strategy per column: every CSV body a command writes is so.
+ROWS = st.lists(COLUMNS, min_size=1, max_size=4).flatmap(
+    lambda cols: st.tuples(st.just(len(cols)), st.lists(st.tuples(*cols), max_size=12)))
+CONFIG = {"subcommand": "table", "format": "x"}
+HEAD = "# config: subcommand=table format=x\n"
 
 
 @settings(max_examples=400, deadline=None)
 @given(ROWS)
-@example([])
-@example([[], [], [1], []])
-@example([[1, 2], [3, 4], [True, 5], [None, 6]])
-@example([["%s", "%d"], ["a,b", "\n"]])
-@example([[2**64, -(2**64)], [1.5, float("nan")], [-0.0, float("-inf")]])
-@example([[1], [1, 2], [1], ["x", None, False]])
-def test_csv_writer_matches_fmt_per_cell(rows):
-    assert _csv(rows) == _csv_reference(rows)
-
-
-CONFIG = {"subcommand": "table", "format": "x"}
+@example((1, []))
+@example((2, [(1, 2), (3, 4), (True, 5), (None, 6)]))
+@example((2, [("%s", "%d"), ("a,b", "\n")]))
+@example((2, [(2**64, -(2**64)), (1.5, float("nan")), (-0.0, float("-inf"))]))
+@example((3, [(1, "x", None), (2, False, "%"), (3, 1.5, 2**70)]))
+def test_csv_writer_matches_fmt_per_cell(width_rows):
+    width, rows = width_rows
+    header = [f"c{i}" for i in range(width)]
+    text = "".join(render("csv", CONFIG, Output(rows=lambda: _csv_body(header, rows))))
+    assert text == HEAD + _csv_reference([header] + rows)
 
 
 def _entries(count: int) -> list:
@@ -182,32 +181,79 @@ def test_batched_json_matches_json_dumps(count, lazy):
 
 @pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1])
 def test_records_match_their_dicts(count):
-    """A `Records` value writes the bytes of the list of dicts it stands for."""
+    """A list of `Block`s writes the bytes of the list of dicts it stands for: a column of
+    ints and lists, and one of bools and strs, are spelled cell by cell, and `%` in a key or
+    a cell is text."""
+    keys = ("k", "n%", "value", "%s ok")
     items = _entries(count)
-    rows = [(d["k"], d["n"], d["value"] if d["n"] % 5 else [d["n"], "%s"]) for d in items]
-    dicts = [dict(zip(("k", "n", "value"), row)) for row in rows]
-    out = Output(payload=lambda: {"entries": Records(("k", "n", "value"), iter(rows)), "ok": True})
+    rows = [(d["k"], d["n"], d["value"] if d["n"] % 5 else [d["n"], "%s"], d["n"] % 3 > 0 or "error %d")
+            for d in items]
+    dicts = [dict(zip(keys, row)) for row in rows]
+    block = Block(_json_template(dict.fromkeys(keys, ...)), list(zip(*rows)) or [()])
+    out = Output(payload=lambda: {"entries": [block], "ok": True})
     text = "".join(render("json", CONFIG, out))
     assert text == json.dumps({"config": CONFIG, "entries": dicts, "ok": True}, indent=2) + "\n"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(TEXT, min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.tuples(st.just(keys), st.lists(st.tuples(*[SCALARS] * len(keys)), min_size=1, max_size=4))),
+    max_size=4))
+def test_json_blocks_match_json_dumps(blocks):
+    """Blocks of any scalar cells and any key text, NaN, infinities and ints past 2**64 among them."""
+    dicts = [dict(zip(keys, row)) for keys, rows in blocks for row in rows]
+    payload = [Block(_json_template(dict.fromkeys(keys, ...)), list(zip(*rows))) for keys, rows in blocks]
+    text = "".join(render("json", CONFIG, Output(payload=lambda: {"entries": payload})))
+    assert text == json.dumps({"config": CONFIG, "entries": dicts}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1])
 def test_batched_csv_matches_reference(count):
-    rows = [("k", "n", "R")] + [(1, i, None if i % 7 == 0 else i * i) for i in range(count)]
-    text = "".join(render("csv", CONFIG, Output(rows=lambda: iter(rows))))
-    assert text == "# config: subcommand=table format=x\n" + _csv_reference(rows)
+    rows = [(1, i, None if i % 7 == 0 else i * i) for i in range(count)]
+    text = "".join(render("csv", CONFIG, Output(rows=lambda: _csv_body(("k", "n", "R"), rows))))
+    assert text == HEAD + _csv_reference([("k", "n", "R")] + rows)
+
+
+# Block sizes whose boundaries fall inside a batch and on either side of a batch boundary.
+SIZES = [3, BATCH - 2, 5, BATCH + 7, 1, 2 * BATCH]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_blocks_that_straddle_batches_write_their_rows_in_order(fmt):
+    starts = [sum(SIZES[:i]) for i in range(len(SIZES))]
+    columns = [(range(start, start + size), [n * n if n % 4 else None for n in range(start, start + size)])
+               for start, size in zip(starts, SIZES)]
+    dicts = [{"k": k, "n": n, "v": v} for k, (ns, vs) in enumerate(columns) for n, v in zip(ns, vs)]
+    if fmt == "json":
+        blocks = [Block(_json_template({"k": k, "n": ..., "v": ...}), cols) for k, cols in enumerate(columns)]
+        out = Output(payload=lambda: {"entries": blocks})
+        expected = json.dumps({"config": CONFIG, "entries": dicts}, indent=2) + "\n"
+    else:
+        out = Output(rows=lambda: (("k", "n", "v"), [Block(f"{k},%s,%s\n", cols) for k, cols in enumerate(columns)]))
+        expected = HEAD + _csv_reference([("k", "n", "v")] + [tuple(d.values()) for d in dicts])
+    chunks = list(render(fmt, CONFIG, out))
+    assert "".join(chunks) == expected
+    if fmt == "csv":  # after the head, BATCH lines per chunk but the last
+        total = sum(SIZES)
+        assert [chunk.count("\n") for chunk in chunks[1:]] == [BATCH] * (total // BATCH) + [total % BATCH]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_lazy_payload_is_read_one_batch_per_chunk(fmt):
+    """A JSON list iterator is read BATCH items per chunk, and a CSV body a block at a time."""
     read = []
 
     def items():
         for i in range(3 * BATCH):
             read.append(i)
-            yield (1, i, i) if fmt == "csv" else {"k": 1, "n": i}
+            yield {"k": 1, "n": i}
 
-    out = Output(payload=lambda: {"entries": items()}, rows=lambda: items())
+    def blocks():
+        for start in range(0, 3 * BATCH, BATCH // 4):
+            read.extend(range(start, start + BATCH // 4))
+            yield Block("1,%s\n", [range(start, start + BATCH // 4)])
+
+    out = Output(payload=lambda: {"entries": items()}, rows=lambda: (("k", "n"), blocks()))
     seen = [len(read) for _ in render(fmt, CONFIG, out)]
     assert max(b - a for a, b in zip([0] + seen, seen)) <= BATCH
     assert seen[-1] == 3 * BATCH
@@ -280,7 +326,8 @@ def test_audit_blocks_write_the_bytes_of_their_findings(capsys, bounds, fmt):
 
 def test_audit_writes_no_finding_object(monkeypatch, capsys):
     """Findings are written from their blocks: `main` builds no `AuditFinding` in any format,
-    and every block is one type per column, printed all None or all int, as the writer needs."""
+    and every block is columns of one length and one type each, printed all None or all int,
+    with the verdict stored beside them: printed == oracle, or None out of the claim's domain."""
     built = []
     finding = widthlab.audit.AuditFinding
 
@@ -295,6 +342,8 @@ def test_audit_writes_no_finding_object(monkeypatch, capsys):
     assert len(list(audit_claims(2, 3, 3))) == len(built) > 0  # the count does see a finding built
     for bounds in [(1, 1, 1), (5, 25, 210), (16, 256, 1024)]:
         for block in audit_claims(*bounds).blocks:
-            kinds = [set(map(type, column)) for column in zip(*block.rows)]
-            assert all(len(k) == 1 for k in kinds) and kinds[-2] <= {int, type(None)}, block.claim
-            assert block.in_domain == (None not in {row[-2] for row in block.rows})
+            assert len(block.columns) == len(block.keys) + 3 and len(set(map(len, block.columns))) == 1
+            kinds = [set(map(type, column)) for column in block.columns]
+            assert all(len(k) == 1 for k in kinds) and kinds[-3] <= {int, type(None)}, block.claim
+            printed, oracle, agree = block.columns[-3:]
+            assert list(agree) == [None if p is None else p == o for p, o in zip(printed, oracle)]
