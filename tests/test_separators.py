@@ -355,6 +355,11 @@ PINNED_RANKING_LEVELS = {
     6: [7, 13, 6, 7, 5, 12, 4, 3, 7, 11, 10, 9, 6, 5, 4, 3, 7, 2, 2, 8],
     8: [14, 13, 6, 6, 5, 12, 4, 3, 11, 10, 9, 8, 6, 5, 4, 3, 6, 2, 2, 7],
 }
+# Recorded before the separator search became a pruned depth-first search.
+PINNED_RANKING_LEVELS_SECOND = {
+    6: [13, 12, 7, 6, 5, 4, 7, 11, 10, 6, 9, 5, 4, 3, 8, 3, 2, 1, 2, 1],
+    8: [14, 13, 12, 6, 5, 4, 11, 10, 9, 6, 8, 5, 4, 3, 7, 3, 2, 1, 2, 1],
+}
 
 
 def test_pinned_separator_witnesses():
@@ -369,6 +374,12 @@ def test_pinned_separator_witnesses():
     for strict in (False, True):
         assert min_balanced_separator(g, strict=strict) == (6, (1, 5, 9, 10, 11, 19))
     for k, levels in PINNED_RANKING_LEVELS.items():
+        ranking = separator_ranking(g, k)
+        assert [ranking.level[v] for v in range(g.n)] == levels
+    g = random_graph(20, 0.25, 8)
+    for strict in (False, True):
+        assert min_balanced_separator(g, strict=strict) == (6, (0, 1, 7, 8, 10, 14))
+    for k, levels in PINNED_RANKING_LEVELS_SECOND.items():
         ranking = separator_ranking(g, k)
         assert [ranking.level[v] for v in range(g.n)] == levels
 
