@@ -427,9 +427,7 @@ def cmd_verify_chain(args) -> Output:
 
 
 def cmd_table(args) -> Output:
-    x_name, x_max, build = {
-        "R": ("n", TABLE_N_MAX, build_R_table), "N": ("r", TABLE_R_MAX, build_N_table)
-    }[args.what]
+    x_name, x_max = {"R": ("n", TABLE_N_MAX), "N": ("r", TABLE_R_MAX)}[args.what]
     if getattr(args, x_name) is None:
         raise UsageError(f"table {args.what} requires --{x_name}")
     k_lo, k_hi = _parse_range(args.k, "k")
@@ -443,9 +441,13 @@ def cmd_table(args) -> Output:
             f"({_number(size)} entries) exceeds "
             f"the caps k <= {TABLE_K_MAX}, {x_name} <= {x_max}, {TABLE_ENTRIES_MAX} entries"
         )
-    tables = [(k, build(k, hi)) for k in range(k_lo, k_hi + 1)]
-    for _, values in tables:
-        del values[:lo]  # in place: a slice would hold a copy beside each table
+    ks = range(k_lo, k_hi + 1)
+    if args.what == "N":  # a closed form per r: only lo..hi are evaluated
+        tables = [(k, build_N_table(k, hi, lo)) for k in ks]
+    else:  # each R entry reads earlier ones, so the table starts at 0
+        tables = [(k, build_R_table(k, hi)) for k in ks]
+        for _, values in tables:
+            del values[:lo]  # in place: a slice would hold a copy beside each table
     xs = range(lo, hi + 1)
     return Output(
         payload=lambda: {"entries": [Block(_json_template({"k": k, x_name: ..., "value": ...}), (xs, values))

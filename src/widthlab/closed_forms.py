@@ -219,6 +219,6 @@ def build_R_table(k: int, n_max: int) -> list[int]:
     return table
 
 
-def build_N_table(k: int, r_max: int) -> list[int]:
-    """[N_k(0), ..., N_k(r_max)]."""
-    return [N_adjoint(k, r) for r in range(r_max + 1)]
+def build_N_table(k: int, r_max: int, r_min: int = 0) -> list[int]:
+    """[N_k(r_min), ..., N_k(r_max)]; each entry is its own closed form."""
+    return [N_adjoint(k, r) for r in range(r_min, r_max + 1)]

@@ -143,11 +143,49 @@ def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[
 
     Returns (size, x_mask); the witness is the first hit in the
     size-ascending, mask-ascending enumeration.
+
+    For each size, a depth-first search decides the members of X from
+    the highest vertex of the universe down, the survivor branch first,
+    so its leaves come in ascending mask order.  A vertex decided as a
+    survivor has its component among the survivors decided so far
+    walked; a component above the limit prunes the branch, since more
+    survivors only grow it.  Once X is full, the rest survive and the
+    leaf is tested by `_balanced`, which reads no table.  Pending "in X"
+    branches wait on one stack, so a deep universe needs no recursion.
     """
-    for size in range(universe.bit_count() + 1):
-        for x_mask in _subsets(universe, size):
-            if _balanced(g, universe ^ x_mask, strict):
-                return size, x_mask
+    adj = g.adj_bits
+    high_first = [1 << v for v in reversed(bits_of(universe))]
+    total = len(high_first)
+    # undecided[i]: the members not yet decided at depth i, high_first[i:].
+    undecided = [universe & ((bit << 1) - 1) for bit in high_first] + [0]
+    for size in range(total + 1):
+        limit = _limit(total - size, strict)
+        stack = [(0, 0, 0, size)]
+        while stack:
+            i, survivors, x_mask, budget = stack.pop()
+            while budget and total - i > budget:
+                bit = high_first[i]
+                i += 1
+                stack.append((i, survivors, x_mask | bit, budget - 1))
+                survivors |= bit
+                comp = frontier = bit
+                while frontier and comp.bit_count() <= limit:
+                    nxt = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        nxt |= adj[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = nxt & survivors & ~comp
+                    comp |= frontier
+                if comp.bit_count() > limit:
+                    break
+            else:  # a leaf: X is full and the rest survive, or the rest fill X
+                if budget:
+                    x_mask |= undecided[i]
+                else:
+                    survivors |= undecided[i]
+                if _balanced(g, survivors, strict):
+                    return size, x_mask
     raise InvariantViolation("X = universe always balances; unreachable")
 
 

@@ -224,13 +224,17 @@ def _min_fill_order(g: Graph) -> tuple[int, ...]:
     alive = g.full_mask
     order = []
     while alive:
-        keys = []
+        best = None
         for v in bits_of(alive):
             nb = adj[v] & alive
             k = nb.bit_count()
-            edges = sum((adj[u] & nb).bit_count() for u in bits_of(nb)) // 2
-            keys.append((k * (k - 1) // 2 - edges, k, v))
-        v = min(keys)[2]
+            edges = 0
+            for u in bits_of(nb):
+                edges += (adj[u] & nb).bit_count()
+            key = (k * (k - 1) // 2 - edges // 2, k)
+            if best is None or key < best:
+                best, pick = key, v
+        v = pick
         nb = adj[v] & alive
         for u in bits_of(nb):
             adj[u] |= nb & ~(1 << u)

@@ -349,6 +349,37 @@ def test_separator_witnesses_on_proper_universes_are_first_hits(strict):
             )
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", range(9, 13))
+def test_pruned_search_matches_oracle_on_the_density_ladder(n, strict):
+    """The pruned search returns the oracle's first hit on the empty, the
+    full and seeded random universes."""
+    rng = random.Random(3100 + 2 * n + strict)
+    for p in DENSITY_LADDER:
+        g = random_graph(n, p, 3100 + n)
+        universes = [0, g.full_mask] + [rng.getrandbits(n) for _ in range(3)]
+        for universe in universes:
+            size, x_mask = min_balanced_separator_mask(g, universe, strict)
+            assert (size, bits_of(x_mask)) == oracle_min_balanced_separator_witness(
+                g, bits_of(universe), strict
+            )
+
+
+def test_separator_search_builds_no_tables():
+    g = random_graph(14, 0.3, 3150)
+    for strict in (False, True):
+        min_balanced_separator(g, strict=strict)
+    separator_ranking(g, 5)
+    assert g._neighbourhood_tables is None
+
+
+def test_separator_search_has_no_table_ceiling():
+    # A raised cap reaches n far above SEPARATOR_TABLE_MAX_N.
+    g = path(100)
+    assert min_balanced_separator(g, cap=100) == (1, (49,))
+    assert g._neighbourhood_tables is None
+
+
 # Witnesses recorded before the balance test was rewritten; both graphs are
 # benchmark inputs.
 PINNED_RANKING_LEVELS = {
