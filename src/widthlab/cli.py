@@ -381,8 +381,9 @@ def cmd_compute(args) -> Output:
     caps = _param_caps(args, wanted)
     values: dict = {}
     witnesses: dict = {}
+    pair = [] if {"s", "s_strict"} <= set(wanted) else None
     for p in wanted:
-        values[p], witnesses[p] = PARAMS[p].run(g, caps[p])
+        values[p], witnesses[p] = PARAMS[p].run(g, caps[p], pair)
     return Output(
         payload=lambda: {"n": g.n, "values": values, "witnesses": witnesses},
         rows=lambda: _csv_body(

@@ -40,7 +40,8 @@ MIN_SEPARATOR_CAP = 20
 CLIQUE_SUBSET_CAP = 1 << 20
 # Memory the 2^n subset tables of one solver may take.  No cap raises the
 # n ceilings derived from it; the separator tables take two bytes per
-# subset (f and the largest-component table), so 2^27 sets fill it.
+# subset (f, or the paired h, and the largest-component table), so 2^27
+# sets fill it.
 SUBSET_TABLE_BUDGET = 256 << 20
 SEPARATOR_TABLE_MAX_N = 27
 
@@ -149,9 +150,15 @@ def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[
     so its leaves come in ascending mask order.  A vertex decided as a
     survivor has its component among the survivors decided so far
     walked; a component above the limit prunes the branch, since more
-    survivors only grow it.  Once X is full, the rest survive and the
-    leaf is tested by `_balanced`, which reads no table.  Pending "in X"
-    branches wait on one stack, so a deep universe needs no recursion.
+    survivors only grow it.  So a leaf where the rest fill X is balanced
+    as it stands: each component of the decided survivors was walked
+    when its last vertex was decided.  A leaf where X is full and the
+    rest survive walks only the components that hold an undecided
+    vertex.  A leaf that passes is accepted only if `_balanced`, which
+    reads no table, agrees; the two agree on every leaf, so `_balanced`
+    runs once, on the returned X, and a search it rejects throughout
+    ends in InvariantViolation.  Pending "in X" branches wait on one
+    stack, so a deep universe needs no recursion.
     """
     adj = g.adj_bits
     high_first = [1 << v for v in reversed(bits_of(universe))]
@@ -179,11 +186,27 @@ def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[
                     comp |= frontier
                 if comp.bit_count() > limit:
                     break
-            else:  # a leaf: X is full and the rest survive, or the rest fill X
+            else:  # a leaf: the rest fill X, or X is full and the rest survive
                 if budget:
                     x_mask |= undecided[i]
                 else:
                     survivors |= undecided[i]
+                    rest = undecided[i]
+                    while rest:
+                        comp = frontier = rest & -rest
+                        while frontier and comp.bit_count() <= limit:
+                            nxt = 0
+                            while frontier:
+                                low = frontier & -frontier
+                                nxt |= adj[low.bit_length() - 1]
+                                frontier ^= low
+                            frontier = nxt & survivors & ~comp
+                            comp |= frontier
+                        if comp.bit_count() > limit:
+                            break
+                        rest &= ~comp
+                    if rest:
+                        continue
                 if _balanced(g, survivors, strict):
                     return size, x_mask
     raise InvariantViolation("X = universe always balances; unreachable")
@@ -302,6 +325,66 @@ def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytea
     return f, lc, q
 
 
+def _paired_subset_table(g: Graph) -> tuple[bytearray, bytearray, int, int]:
+    """(h, lc, Q, Q~): both strictnesses of `_max_balanced_subset_table`
+    from one fill.  h[S] = f[S] + f~[S], so f = (h + 1) >> 1 and
+    f~ = h >> 1; lc is the same table and Q, Q~ the two hardest subgraphs.
+
+    One byte holds both because f~ is f or f - 1: a set balanced under the
+    ceiling limit only has one component of (|S| + 1)/2 vertices, and
+    dropping any vertex of it balances it under the floor.  With
+    over = 2 lc[S] - |S|, h = 2|S| when over <= 0, h = 2|S| - 1 when
+    over == 1, and otherwise h[S] is the max of h[S - v], which by the
+    lemma is max f + max f~, a scan that stops at 2|S| - 2.
+    """
+    n = g.n
+    h = bytearray(1 << n)
+    lc = bytearray(1 << n)
+    w, lo, hi = neighbourhood_tables(g)
+    m = (1 << w) - 1
+    q, q_need, q_size = g.full_mask, 0, n
+    qs, qs_need, qs_size = g.full_mask, 0, n
+    for s_mask in range(1, 1 << n):
+        comp, grown = 0, s_mask & -s_mask
+        while grown != comp:
+            comp = grown
+            grown = (lo[comp & m] | hi[comp >> w] | comp) & s_mask
+        largest = comp.bit_count()
+        rest_largest = lc[s_mask ^ comp]
+        if rest_largest > largest:
+            largest = rest_largest
+        lc[s_mask] = largest
+        size = s_mask.bit_count()
+        over = 2 * largest - size
+        if over <= 0:
+            h[s_mask] = 2 * size
+            continue
+        if over == 1:
+            h[s_mask] = 2 * size - 1
+            if qs_need < 1 or qs_need == 1 and size > qs_size:
+                qs, qs_need, qs_size = s_mask, 1, size
+            continue
+        top = 2 * size - 2
+        best = 0
+        rest = s_mask
+        while rest:
+            low = rest & -rest
+            val = h[s_mask ^ low]
+            if val > best:
+                best = val
+                if best == top:
+                    break
+            rest ^= low
+        h[s_mask] = best
+        need = size - ((best + 1) >> 1)
+        if need > q_need or need == q_need and size > q_size:
+            q, q_need, q_size = s_mask, need, size
+        need = size - (best >> 1)
+        if need > qs_need or need == qs_need and size > qs_size:
+            qs, qs_need, qs_size = s_mask, need, size
+    return h, lc, q, qs
+
+
 def separator_number(g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER_CAP) -> int:
     """Smallest k such that every induced subgraph has a balanced
     separator of size at most k."""
@@ -310,7 +393,7 @@ def separator_number(g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER
 
 
 def separator_number_with_witness(
-    g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER_CAP
+    g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER_CAP, pair: list | None = None
 ) -> tuple[int, dict]:
     """Separator number plus the hardest induced subgraph and its witness.
 
@@ -319,11 +402,25 @@ def separator_number_with_witness(
     the minimum-separator witness inside it: the first set of that size
     whose survivors the largest-component table shows to be balanced.
     X is re-checked by a walk over the survivors that reads no table.
+
+    A caller that wants both strictnesses of one graph passes the same
+    `pair` list, empty at first, to both calls: the first fills it with
+    `_paired_subset_table` once its own size check passes, and the
+    second reads its half.  Without `pair` the single-strictness fill
+    runs.
     """
     check_size("separator_number", g.n, cap, SEPARATOR_TABLE_MAX_N)
-    f, lc, best_q = _max_balanced_subset_table(g, strict)
-    best = best_q.bit_count() - f[best_q]
-    largest = _limit(f[best_q], strict)
+    if pair is None:
+        f, lc, best_q = _max_balanced_subset_table(g, strict)
+        f_q = f[best_q]
+    else:
+        if not pair:
+            pair.extend(_paired_subset_table(g))
+        h, lc, q, q_strict = pair
+        best_q = q_strict if strict else q
+        f_q = h[best_q] >> 1 if strict else (h[best_q] + 1) >> 1
+    best = best_q.bit_count() - f_q
+    largest = _limit(f_q, strict)
     x_mask = next(x for x in _subsets(best_q, best) if lc[best_q ^ x] <= largest)
     if not _balanced(g, best_q ^ x_mask, strict):
         raise InvariantViolation(f"separator witness {bits_of(x_mask)} does not balance Q")

@@ -598,13 +598,15 @@ class WidthReport:
 class Param:
     """One width parameter: its solver call, caps and JSON witness."""
 
-    solve: Callable[[Graph, int], tuple]  # (g, cap) -> (value, raw witness)
+    # (g, cap, pair) -> (value, raw witness); `pair` is the separator
+    # table list both strictnesses of one graph share, or None.
+    solve: Callable[[Graph, int, list | None], tuple]
     cap: int
     deep_cap: int
     witness: Callable[[object], dict]  # raw witness -> JSON witness
 
-    def run(self, g: Graph, cap: int) -> tuple[int, dict]:
-        value, raw = self.solve(g, cap)
+    def run(self, g: Graph, cap: int, pair: list | None = None) -> tuple[int, dict]:
+        value, raw = self.solve(g, cap, pair)
         return value, self.witness(raw)
 
 
@@ -612,17 +614,17 @@ class Param:
 # module-level name at call time, so a wrapper installed on a module
 # attribute sees every call made through the registry.
 PARAMS: dict[str, Param] = {
-    "s": Param(lambda g, cap: separator_number_with_witness(g, strict=False, cap=cap),
+    "s": Param(lambda g, cap, pair: separator_number_with_witness(g, strict=False, cap=cap, pair=pair),
                SEPARATOR_NUMBER_CAP, SEPARATOR_NUMBER_CAP, lambda wit: wit),
-    "s_strict": Param(lambda g, cap: separator_number_with_witness(g, strict=True, cap=cap),
+    "s_strict": Param(lambda g, cap, pair: separator_number_with_witness(g, strict=True, cap=cap, pair=pair),
                       SEPARATOR_NUMBER_CAP, SEPARATOR_NUMBER_CAP, lambda wit: wit),
-    "tw": Param(lambda g, cap: treewidth(g, cap=cap), TW_CAP, TW_CAP,
+    "tw": Param(lambda g, cap, pair: treewidth(g, cap=cap), TW_CAP, TW_CAP,
                 lambda order: {"elimination_order": list(order)}),
-    "pw": Param(lambda g, cap: pathwidth(g, cap=cap), PW_CAP, PW_CAP,
+    "pw": Param(lambda g, cap, pair: pathwidth(g, cap=cap), PW_CAP, PW_CAP,
                 lambda order: {"layout": list(order)}),
-    "bw": Param(lambda g, cap: bandwidth(g, cap=cap), BW_CAP, BW_CAP_DEEP,
+    "bw": Param(lambda g, cap, pair: bandwidth(g, cap=cap), BW_CAP, BW_CAP_DEEP,
                 lambda layout: {"layout": list(layout)}),
-    "r": Param(lambda g, cap: cycle_rank(g, cap=cap), RANK_CAP, RANK_CAP_DEEP,
+    "r": Param(lambda g, cap, pair: cycle_rank(g, cap=cap), RANK_CAP, RANK_CAP_DEEP,
                Ranking.to_json_dict),
 }
 
@@ -633,8 +635,10 @@ def verify_chain(g: Graph, caps: dict[str, int] | None = None) -> WidthReport:
     `caps` maps parameter names to size caps; a missing name gets its
     default cap from PARAMS.  The non-strict separator number feeds the
     newer chain, the strict one feeds the older chain, exactly as the two
-    statements are phrased.  A violated inequality is reported, never
-    raised.  For edgeless graphs (s = 0) the logarithmic bound is
+    statements are phrased; both come from one paired separator table
+    fill, which the s call makes and hands to the s~ call through
+    `pair`.  A violated inequality is reported, never raised.  For
+    edgeless graphs (s = 0) the logarithmic bound is
     evaluated at k = 1 -- the smallest k the recurrence is defined for;
     the bound is monotone in k, so this is still a valid upper bound --
     and the report is flagged.
@@ -644,8 +648,9 @@ def verify_chain(g: Graph, caps: dict[str, int] | None = None) -> WidthReport:
     caps = caps or {}
     values: dict[str, int] = {}
     witnesses: dict[str, dict] = {}
+    pair: list = []
     for name, param in PARAMS.items():
-        values[name], witnesses[name] = param.run(g, caps.get(name, param.cap))
+        values[name], witnesses[name] = param.run(g, caps.get(name, param.cap), pair)
     s, s_strict, tw, pw, bw, r = values.values()
 
     flags = []

@@ -27,6 +27,7 @@ from widthlab import (
     is_valid_ranking,
     parse_edge_list,
     pathwidth,
+    separator_number,
     separator_number_with_witness,
     separator_ranking,
     treewidth,
@@ -46,6 +47,7 @@ from .conftest import (
     oracle_separator_number_with_witness,
     oracle_treewidth_dp,
 )
+from .test_separators import assert_paired_fill_matches
 
 # sha256 of the JSON list of [atlas index, k, levels of vertices 0..n-1]
 # over every separator ranking of `test_separator_ranking_on_the_atlas`.
@@ -88,6 +90,22 @@ def test_separator_number_on_the_atlas(strict):
     for _, g in CENSUS:
         value, wit = separator_number_with_witness(g, strict)
         assert (value, wit["q"], wit["x"]) == oracle_separator_number_with_witness(g, strict)
+
+
+def test_paired_separator_fill_on_the_atlas():
+    for g in ATLAS:
+        assert_paired_fill_matches(g)
+
+
+def test_strict_separator_number_is_s_or_s_plus_one(random_graphs_200, trees_100, named_small):
+    """Finding: s <= s~ <= s + 1.  A set balanced under the ceiling limit
+    but not the floor has one component of (|T| + 1)/2 vertices, and
+    dropping any vertex of it leaves a floor-balanced set, so every
+    induced subgraph needs at most one more vertex under the floor.  Both
+    gaps occur on the atlas and the acceptance-5 corpus."""
+    graphs = ATLAS + [g for _, g in random_graphs_200 + trees_100 + named_small]
+    gaps = Counter(separator_number(g, strict=True) - separator_number(g) for g in graphs)
+    assert gaps == {0: 332, 1: 1249}
 
 
 def test_treewidth_pathwidth_cycle_rank_on_the_atlas():

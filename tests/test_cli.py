@@ -1,17 +1,23 @@
+import dataclasses
 import gc
 import inspect
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from widthlab import (
     InvariantViolation,
+    SizeLimitExceeded,
     WidthlabError,
     chordal_clique_separator,
     min_balanced_separator,
+    path,
+    random_graph,
     separator_ranking,
+    verify_chain,
 )
 from widthlab import cli as cli_mod
 from widthlab import corpus as corpus_mod
@@ -240,6 +246,82 @@ def test_verify_chain_violation_exit1(capsys, tmp_path):
     assert code == 1
     payload = json.loads(out)
     assert payload["thm9_ok"] is False and payload["thm2_ok"] is True
+
+
+# --- one separator fill for both strictnesses ------------------------------------
+
+
+@pytest.fixture
+def separator_calls(monkeypatch):
+    """Counts of the paired and the single separator fills, and of each
+    strictness of `separator_number_with_witness`, wherever a module holds
+    them by name, as the benchmark's tracer finds them."""
+    calls = Counter()
+    separator = separators_mod.separator_number_with_witness
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            key = fn.__name__
+            if fn is separator:
+                key = (key, kwargs.get("strict", args[1] if len(args) > 1 else False))
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (separator, separators_mod._paired_subset_table, separators_mod._max_balanced_subset_table):
+        wrapper = counting(fn)
+        for mod in (separators_mod, solvers_mod, cli_mod):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def _one_fill(*strictnesses, paired):
+    fill = "_paired_subset_table" if paired else "_max_balanced_subset_table"
+    return {fill: 1, **{("separator_number_with_witness", strict): 1 for strict in strictnesses}}
+
+
+def test_verify_chain_fills_the_separator_table_once(separator_calls):
+    verify_chain(random_graph(8, 0.5, 2400))
+    assert separator_calls == _one_fill(False, True, paired=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-chain",),
+    ("compute", "--params", "s,s_strict"),
+    ("compute", "--params", "s_strict,s"),
+    ("compute", "--params", "s_strict,tw,s"),
+])
+def test_both_strictnesses_fill_the_separator_table_once(capsys, tmp_path, separator_calls, argv):
+    code, _, _ = run(capsys, *argv, "--input", write_graph(tmp_path, PATH8))
+    assert code == 0
+    assert separator_calls == _one_fill(False, True, paired=True)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_one_strictness_runs_the_single_fill(capsys, tmp_path, separator_calls, strict):
+    separators_mod.separator_number_with_witness(path(8), strict)
+    assert separator_calls == _one_fill(strict, paired=False)
+    separator_calls.clear()
+    param = "s_strict" if strict else "s"
+    code, _, _ = run(capsys, "compute", "--params", f"{param},tw", "--input", write_graph(tmp_path, PATH8))
+    assert code == 0
+    assert separator_calls == _one_fill(strict, paired=False)
+
+
+@pytest.mark.parametrize("params", ["s,s_strict", "s_strict,s"])
+@pytest.mark.parametrize("lowered", ["s", "s_strict"])
+def test_lower_cap_on_one_strictness_is_refused_as_alone(capsys, tmp_path, monkeypatch, params, lowered):
+    # The paired fill runs after the first call's size check, so the
+    # refusal is the one the lowered strictness gives on its own.
+    refusal = "separator_number: n = 8 > cap 5"
+    with pytest.raises(SizeLimitExceeded) as exc:
+        verify_chain(path(8), {lowered: 5, "tw": 4})
+    assert str(exc.value) == refusal
+    monkeypatch.setitem(PARAMS, lowered, dataclasses.replace(PARAMS[lowered], cap=5))
+    f = write_graph(tmp_path, PATH8)
+    assert run(capsys, "compute", "--input", f, "--params", params) == (4, "", f"error: size limit: {refusal}\n")
 
 
 # --- table ----------------------------------------------------------------------

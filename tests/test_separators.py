@@ -32,6 +32,7 @@ from widthlab.separators import (
     SUBSET_TABLE_BUDGET,
     _balanced,
     _max_balanced_subset_table,
+    _paired_subset_table,
     _subsets,
     min_balanced_separator_mask,
 )
@@ -278,6 +279,32 @@ def test_balance_kernel_matches_oracle(i):
         f, lc, _ = _max_balanced_subset_table(g, strict)
         assert list(f) == oracle_max_balanced_subset_table(g, strict)
         assert list(lc) == largest
+    assert_paired_fill_matches(g)
+
+
+def assert_paired_fill_matches(g):
+    """The paired fill decodes to both single fills and their oracle, with
+    the same largest-component table and both hardest subgraphs; handed
+    from one call to the other, in either order, it gives each call's
+    lone value and witness."""
+    h, lc, q, q_strict = _paired_subset_table(g)
+    halves = ((False, bytes((v + 1) >> 1 for v in h), q), (True, bytes(v >> 1 for v in h), q_strict))
+    for strict, f_half, q_half in halves:
+        f, lc_single, q_single = _max_balanced_subset_table(g, strict)
+        assert f_half == f
+        assert list(f_half) == oracle_max_balanced_subset_table(g, strict)
+        assert lc == lc_single
+        assert q_half == q_single
+    for order in ((False, True), (True, False)):
+        pair = []
+        for strict in order:
+            assert separator_number_with_witness(g, strict, pair=pair) == separator_number_with_witness(g, strict)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_paired_fill_matches_single_fills_on_the_density_ladder(n):
+    for p in DENSITY_LADDER:
+        assert_paired_fill_matches(random_graph(n, p, 3200 + n))
 
 
 def _first_hardest_by_scan(g, f):
