@@ -7,6 +7,8 @@ these witnesses exactly.  Cycle rank likewise returns the (value, levels)
 of the dict-memo recursion with a full min scan, `oracle_cycle_rank_dp`.
 """
 
+import hashlib
+
 import pytest
 
 from widthlab import (
@@ -22,6 +24,7 @@ from widthlab import (
     star,
     treewidth,
 )
+from widthlab.corpus import random_corpus
 from widthlab.solvers import (
     _boundary,
     _min_boundary_layout,
@@ -107,6 +110,57 @@ def test_pinned_witnesses_at_n16(name):
     g, tw, pw = PINNED[name]
     assert treewidth(g) == tw
     assert pathwidth(g) == pw
+
+
+# (value, order) recorded from the treewidth solver before its fill skipped
+# the pushes that cannot improve their target; both graphs are benchmark inputs.
+PINNED_TW = {
+    "random(16,0.5,7)": (
+        random_graph(16, 0.5, 7),
+        (8, (15, 3, 12, 14, 11, 8, 13, 10, 9, 7, 6, 5, 4, 2, 1, 0)),
+    ),
+    "random(18,0.3,7)": (
+        random_graph(18, 0.3, 7),
+        (5, (17, 15, 14, 13, 4, 12, 8, 5, 3, 7, 16, 10, 11, 9, 6, 2, 1, 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TW))
+def test_pinned_treewidth_orders(name):
+    g, tw = PINNED_TW[name]
+    assert treewidth(g) == tw
+
+
+# sha256 of the whole `_treewidth_table(g, ub)` at the min-fill bound ub,
+# recorded from the same solver: every entry, sentinels included, must keep
+# its byte.  The last two are the acceptance-5 counterexamples of the newer
+# chain, as the corpus generates them.
+TW_TABLE_DIGESTS = {
+    "random(16,0.3,7)": (random_graph(16, 0.3, 7), 5,
+                         "4d03cbcd98a1c6fbaf943ea9efbc2f3ef2ef3f79ce08a93ba6aadaab9c08ed42"),
+    "random(16,0.5,7)": (random_graph(16, 0.5, 7), 9,
+                         "ed7d198ec8b13493c0df82202d02b414baca0a78ef315d5efbc6e02744ee15c1"),
+    "random(18,0.3,7)": (random_graph(18, 0.3, 7), 5,
+                         "ab42cc93c134a9b099573b745d2cff0ffad46d4e73f079f971b0941999c09d1d"),
+    "Q4": (hypercube(4), 6,
+           "e65a891ad6a4e9409ebb12e0e9db8e5dc67cbe9f3acc6bd3fb8ffc52e367c853"),
+    "hypercube(3)": (hypercube(3), 3,
+                     "770521fbc360f503055acf0c8664e6bfc3d676929fd1a7cc30be083a0de4bbdc"),
+    "random(n=8,p=0.6)": (random_corpus(200, 10, 1)[68][1], 2,
+                          "72b5eb16158c67d40b1f156c8d42acd130109f72ec74b3b63c206f2094bf2cfc"),
+}
+
+
+def test_pinned_corpus_graph_is_the_counterexample():
+    assert random_corpus(200, 10, 1)[68][0] == "random(n=8,p=0.6)"
+
+
+@pytest.mark.parametrize("name", sorted(TW_TABLE_DIGESTS))
+def test_pinned_treewidth_table_bytes(name):
+    g, ub, digest = TW_TABLE_DIGESTS[name]
+    assert eliminate_and_measure(g, _min_fill_order(g)) == ub
+    assert hashlib.sha256(_treewidth_table(g, ub)).hexdigest() == digest
 
 
 # --- the pruned tables and their greedy bounds ------------------------------------
@@ -227,7 +281,7 @@ def test_cycle_rank_special_graphs_match_dict_memo(g):
     _assert_rank_matches_oracle(g)
 
 
-# (value, levels) recorded from the dict-memo solver; both graphs are benchmark inputs.
+# (value, levels) recorded from the dict-memo solver; all three graphs are benchmark inputs.
 PINNED_RANK = {
     "random(16,0.3,7)": (
         random_graph(16, 0.3, 7),
@@ -236,6 +290,10 @@ PINNED_RANK = {
     "Q4": (
         hypercube(4),
         8, (8, 1, 1, 7, 1, 6, 2, 1, 1, 2, 5, 1, 4, 1, 1, 3),
+    ),
+    "random(16,0.5,7)": (
+        random_graph(16, 0.5, 7),
+        11, (11, 2, 10, 9, 8, 7, 2, 2, 6, 5, 1, 1, 2, 4, 1, 3),
     ),
 }
 
