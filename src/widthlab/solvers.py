@@ -113,62 +113,65 @@ def cycle_rank(g: Graph, cap: int = RANK_CAP) -> tuple[int, Ranking]:
     """Exact cycle rank with an optimal ranking witness.
 
     Memoized recursion over a byte table of all 2^n subsets (0 = not yet
-    known).  A disconnected set splits off the component of its lowest
-    vertex, walked layer by layer through `neighbourhood_tables` (max
-    rule); a connected one tries single-vertex deletions (min rule).
-    Deleting a vertex lowers cycle rank by at most one and never raises
-    it, so the children of a connected set take two adjacent values, and
-    the scan stops at the first child below the first one seen.  Every
-    table entry is exact, so reconstruction is unaffected: `_rank_down`
-    gives each component the top level, with a one-vertex block.
+    known), with every singleton preset to 1.  A disconnected set splits
+    off the component of its lowest vertex, walked layer by layer through
+    `neighbourhood_tables` (max rule); a connected one tries single-vertex
+    deletions (min rule).  Deleting a vertex lowers cycle rank by at most
+    one and never raises it, so the children of a connected set take two
+    adjacent values, and the scan stops at the first child below the first
+    one seen.  Each call site reads a child as `table[x] or rank_any(x)`,
+    so a memo hit costs no call and `rank_any` only fills unknown sets of
+    two or more vertices.  Every table entry is exact, so reconstruction
+    is unaffected: `_rank_down` gives each component the top level, with
+    a one-vertex block.
     """
     check_size("cycle_rank", g.n, cap, RANK_TABLE_MAX_N)
     if g.n == 0:
         return 0, Ranking({})
     table = bytearray(1 << g.n)
+    for v in range(g.n):
+        table[1 << v] = 1
     w, lo, hi = neighbourhood_tables(g)
     m = (1 << w) - 1
 
     def rank_any(mask: int) -> int:
-        if mask & (mask - 1) == 0:
-            return 1
-        r = table[mask]
-        if r:
-            return r
         comp, grown = 0, mask & -mask
         while grown != comp:
             comp = grown
             grown = (lo[comp & m] | hi[comp >> w] | comp) & mask
         if comp != mask:
-            r = rank_any(comp)
-            other = rank_any(mask ^ comp)
+            r = table[comp] or rank_any(comp)
+            other = table[mask ^ comp] or rank_any(mask ^ comp)
             if other > r:
                 r = other
         else:
             rest = mask & (mask - 1)
-            first = best = rank_any(rest)
+            first = best = table[rest] or rank_any(rest)
             while rest and best == first > 1:
                 low = rest & -rest
                 rest ^= low
-                other = rank_any(mask ^ low)
+                other = table[mask ^ low] or rank_any(mask ^ low)
                 if other < best:
                     best = other
             r = best + 1
         table[mask] = r
         return r
 
-    value = rank_any(g.full_mask)
+    def rank(mask: int) -> int:
+        return table[mask] or rank_any(mask)
+
+    value = rank(g.full_mask)
 
     def pick(mask: int) -> int:
         # the smallest-id v of a connected S with r(S - v) = r(S) - 1
         if mask & (mask - 1) == 0:
             return mask
-        target = rank_any(mask) - 1
+        target = rank(mask) - 1
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
-            if rank_any(mask ^ low) == target:
+            if rank(mask ^ low) == target:
                 return low
         raise InvariantViolation("no vertex achieves the memoized optimum")
 
@@ -247,9 +250,13 @@ def _treewidth_table(g: Graph, ub: int) -> bytearray:
     """TW(S) for every S whose value is at most `ub`; every other S holds ub + 1.
 
     The fill degree of v outside S counts v's neighbours outside S + v,
-    directly or through the components of S that v touches.  Each
-    component is grown layer by layer through `neighbourhood_tables`, once
-    per set, and the walk's last lookup is its whole neighbourhood."""
+    directly or through the components of S that v touches.  A push to
+    S + v is max(TW(S), fill degree) >= TW(S), so it is skipped unread
+    when S + v already holds at most TW(S), which the sentinel ub + 1
+    never does.  The components of S are grown layer by layer through
+    `neighbourhood_tables` (a walk's last lookup is its whole
+    neighbourhood) once per set, on the first push that survives the skip
+    and touches S.  Neither changes a table entry."""
     adj, full = g.adj_bits, g.full_mask
     w, lo, hi = neighbourhood_tables(g)
     m = (1 << w) - 1
@@ -260,22 +267,26 @@ def _treewidth_table(g: Graph, ub: int) -> bytearray:
         if val > ub:
             continue
         outside = full ^ done
-        comps = []
-        rest = done
-        while rest:
-            comp, grown = 0, rest & -rest
-            while grown != comp:
-                comp = grown
-                reach = lo[comp & m] | hi[comp >> w]
-                grown = (reach | comp) & done
-            comps.append((comp, reach & outside))
-            rest &= ~comp
+        comps = None
         rest = outside
         while rest:
             low = rest & -rest
             rest ^= low
+            if tw[done | low] <= val:
+                continue
             nb = adj[low.bit_length() - 1]
             if nb & done:
+                if comps is None:
+                    comps = []
+                    left = done
+                    while left:
+                        comp, grown = 0, left & -left
+                        while grown != comp:
+                            comp = grown
+                            reach = lo[comp & m] | hi[comp >> w]
+                            grown = (reach | comp) & done
+                        comps.append((comp, reach & outside))
+                        left &= ~comp
                 for comp, comp_nb in comps:
                     if nb & comp:
                         nb |= comp_nb
@@ -321,10 +332,13 @@ def treewidth(g: Graph, cap: int = TW_CAP) -> tuple[int, tuple[int, ...]]:
     gives ub >= tw.  The table is a bytearray filled with the sentinel
     ub + 1; the sets are walked in ascending order, and each one whose
     value is at most ub pushes its move cost to S + v for every v outside
-    it.  The fill degree of v is adj[v] plus the outside neighbourhoods
-    of the components of S that v touches, found once per set.  A set of
-    value at most ub thus gets its exact value (its best predecessor is
-    no worse, so it was pushed), and every other set keeps ub + 1.
+    it.  A push whose target already holds at most TW(S) cannot lower it
+    and is skipped before its cost is computed.  The fill degree of v is
+    adj[v] plus the outside neighbourhoods of the components of S that v
+    touches, found once per set and only when a surviving push needs
+    them.  A set of value at most ub thus gets its exact value (its best
+    predecessor is no worse, so its push was made or the set already held
+    that value), and every other set keeps ub + 1.
 
     Reconstruction steps from V to the smallest-id S - v whose move
     attains TW(S) <= tw <= ub, which a sentinel never does, so the

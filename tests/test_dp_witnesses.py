@@ -112,8 +112,8 @@ def test_pinned_witnesses_at_n16(name):
     assert pathwidth(g) == pw
 
 
-# (value, order) recorded from the treewidth solver before its fill skipped
-# the pushes that cannot improve their target; both graphs are benchmark inputs.
+# (value, order) recorded from the solver; each equals `oracle_treewidth_dp`'s,
+# which takes seconds at these sizes.  Both graphs are benchmark inputs.
 PINNED_TW = {
     "random(16,0.5,7)": (
         random_graph(16, 0.5, 7),
@@ -132,10 +132,10 @@ def test_pinned_treewidth_orders(name):
     assert treewidth(g) == tw
 
 
-# sha256 of the whole `_treewidth_table(g, ub)` at the min-fill bound ub,
-# recorded from the same solver: every entry, sentinels included, must keep
-# its byte.  The last two are the acceptance-5 counterexamples of the newer
-# chain, as the corpus generates them.
+# sha256 of the whole `_treewidth_table(g, ub)` at the min-fill bound ub: a
+# change to the fill must keep every entry, sentinels included.  The last two
+# are the acceptance-5 counterexamples of the newer chain, as the corpus
+# generates them.
 TW_TABLE_DIGESTS = {
     "random(16,0.3,7)": (random_graph(16, 0.3, 7), 5,
                          "4d03cbcd98a1c6fbaf943ea9efbc2f3ef2ef3f79ce08a93ba6aadaab9c08ed42"),
@@ -270,14 +270,18 @@ def test_cycle_rank_random_trees_match_dict_memo(seed):
         path(16),
         _union(complete(4), random_tree(5, 3)),
         _union(random_graph(5, 0.6, 2300), Graph(2), random_graph(4, 0.5, 2301)),
+        _union(star(4), Graph(1)),
+        _union(complete(2), Graph(1)),
         hypercube(3),
         hypercube(4),
         complete(6),
     ],
     ids=["n0", "n1", "edgeless7", "star9", "P16", "K4+tree", "random+isolated+random",
-         "Q3", "Q4", "K6"],
+         "star4+K1", "K2+K1", "Q3", "Q4", "K6"],
 )
 def test_cycle_rank_special_graphs_match_dict_memo(g):
+    # n1, edgeless7, star4+K1 and K2+K1 have one-vertex components, whose
+    # rank the solver reads off its preset singleton entries.
     _assert_rank_matches_oracle(g)
 
 

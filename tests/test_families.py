@@ -6,12 +6,25 @@ widthlab generator:
 - the complete bipartite K_{a,b} has tw = pw = min(a, b) and cycle rank min(a, b) + 1;
 - the complete binary tree with d levels (height h = d - 1) has pw = ceil(h / 2)
   (Scheffler 1989; Ellis, Sudborough and Turner, Information and Computation 1994)
-  and cycle rank d.
+  and cycle rank d;
+- the grid P_a x P_b has tw = pw = bw = min(a, b) (bandwidth: Chvátalová,
+  "Optimal labelling of a product of two paths", Discrete Mathematics 1975);
+- the path power P_n^k with n > k has tw = pw = bw = k.
+The grids and path powers reach n = 18, the treewidth and pathwidth caps, with
+bandwidth's cap raised to match.
 """
 
 import pytest
 
-from widthlab import Graph, bandwidth, complete_binary_tree, cycle_rank, pathwidth, treewidth
+from widthlab import (
+    Graph,
+    bandwidth,
+    complete_binary_tree,
+    cycle_rank,
+    path_power,
+    pathwidth,
+    treewidth,
+)
 
 
 @pytest.mark.parametrize("n", [5, 8, 9, 16])
@@ -35,3 +48,20 @@ def test_complete_binary_trees(d):
     assert g == complete_binary_tree(d)
     assert pathwidth(g)[0] == d // 2  # ceil((d - 1) / 2), for the height d - 1
     assert cycle_rank(g)[0] == d
+
+
+@pytest.mark.parametrize("a, b", [(2, 8), (2, 9), (3, 5), (3, 6), (4, 4)])
+def test_grids(a, b):
+    # vertex (i, j) is i * b + j
+    g = Graph(a * b, [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+              + [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)])
+    assert treewidth(g)[0] == pathwidth(g)[0] == bandwidth(g, cap=18)[0] == min(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", ["k+1", 12, 18])
+def test_path_powers(k, size):
+    n = k + 1 if size == "k+1" else size
+    g = Graph(n, [(u, v) for v in range(n) for u in range(max(0, v - k), v)])
+    assert g == path_power(n, k)
+    assert treewidth(g)[0] == pathwidth(g)[0] == bandwidth(g, cap=18)[0] == k
