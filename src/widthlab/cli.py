@@ -52,7 +52,7 @@ from .separators import (
     min_balanced_separator,
     separator_number,
 )
-from .solvers import BW_SEARCH_MAX_N, PARAMS, separator_ranking, verify_chain
+from .solvers import BW_SEARCH_MAX_N, PARAMS, separator_ranking, solve, verify_chain
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -378,12 +378,7 @@ def cmd_compute(args) -> Output:
             raise UsageError(f"unknown parameter {_quote(p)}; choose from {','.join(PARAMS)}")
         if p in wanted[:i]:
             raise UsageError(f"parameter {_quote(p)} is given more than once")
-    caps = _param_caps(args, wanted)
-    values: dict = {}
-    witnesses: dict = {}
-    pair = [] if {"s", "s_strict"} <= set(wanted) else None
-    for p in wanted:
-        values[p], witnesses[p] = PARAMS[p].run(g, caps[p], pair)
+    values, witnesses = solve(g, _param_caps(args, wanted))
     return Output(
         payload=lambda: {"n": g.n, "values": values, "witnesses": witnesses},
         rows=lambda: _csv_body(

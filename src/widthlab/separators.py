@@ -150,15 +150,11 @@ def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[
     so its leaves come in ascending mask order.  A vertex decided as a
     survivor has its component among the survivors decided so far
     walked; a component above the limit prunes the branch, since more
-    survivors only grow it.  So a leaf where the rest fill X is balanced
-    as it stands: each component of the decided survivors was walked
-    when its last vertex was decided.  A leaf where X is full and the
-    rest survive walks only the components that hold an undecided
-    vertex.  A leaf that passes is accepted only if `_balanced`, which
-    reads no table, agrees; the two agree on every leaf, so `_balanced`
-    runs once, on the returned X, and a search it rejects throughout
-    ends in InvariantViolation.  Pending "in X" branches wait on one
-    stack, so a deep universe needs no recursion.
+    survivors only grow it.  A leaf, where the rest fill X or X is full
+    and the rest survive, is accepted by `_balanced` alone, which reads
+    no table; a search it rejects throughout ends in InvariantViolation.
+    Pending "in X" branches wait on one stack, so a deep universe needs
+    no recursion.
     """
     adj = g.adj_bits
     high_first = [1 << v for v in reversed(bits_of(universe))]
@@ -191,22 +187,6 @@ def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[
                     x_mask |= undecided[i]
                 else:
                     survivors |= undecided[i]
-                    rest = undecided[i]
-                    while rest:
-                        comp = frontier = rest & -rest
-                        while frontier and comp.bit_count() <= limit:
-                            nxt = 0
-                            while frontier:
-                                low = frontier & -frontier
-                                nxt |= adj[low.bit_length() - 1]
-                                frontier ^= low
-                            frontier = nxt & survivors & ~comp
-                            comp |= frontier
-                        if comp.bit_count() > limit:
-                            break
-                        rest &= ~comp
-                    if rest:
-                        continue
                 if _balanced(g, survivors, strict):
                     return size, x_mask
     raise InvariantViolation("X = universe always balances; unreachable")

@@ -610,7 +610,7 @@ class WidthReport:
 
 @dataclass(frozen=True)
 class Param:
-    """One width parameter: its solver call, caps and JSON witness."""
+    """One width parameter: its solver call, caps and JSON witness; `solve` runs several."""
 
     # (g, cap, pair) -> (value, raw witness); `pair` is the separator
     # table list both strictnesses of one graph share, or None.
@@ -643,28 +643,35 @@ PARAMS: dict[str, Param] = {
 }
 
 
+def solve(g: Graph, caps: dict[str, int]) -> tuple[dict[str, int], dict[str, dict]]:
+    """(values, witnesses) of each parameter in `caps`, in its order, at its
+    cap.  When `caps` names both `s` and `s_strict`, the first of the two
+    fills one paired separator table after its own size check and hands it
+    to the second through a per-graph `pair` list."""
+    pair = [] if "s" in caps and "s_strict" in caps else None
+    values: dict[str, int] = {}
+    witnesses: dict[str, dict] = {}
+    for name, cap in caps.items():
+        values[name], witnesses[name] = PARAMS[name].run(g, cap, pair)
+    return values, witnesses
+
+
 def verify_chain(g: Graph, caps: dict[str, int] | None = None) -> WidthReport:
     """Compute every parameter and check both inequality chains exactly.
 
     `caps` maps parameter names to size caps; a missing name gets its
     default cap from PARAMS.  The non-strict separator number feeds the
     newer chain, the strict one feeds the older chain, exactly as the two
-    statements are phrased; both come from one paired separator table
-    fill, which the s call makes and hands to the s~ call through
-    `pair`.  A violated inequality is reported, never raised.  For
-    edgeless graphs (s = 0) the logarithmic bound is
-    evaluated at k = 1 -- the smallest k the recurrence is defined for;
-    the bound is monotone in k, so this is still a valid upper bound --
-    and the report is flagged.
+    statements are phrased; `solve` fills one paired separator table for
+    both.  A violated inequality is reported, never raised.  For edgeless
+    graphs (s = 0) the logarithmic bound is evaluated at k = 1 -- the
+    smallest k the recurrence is defined for; the bound is monotone in k,
+    so this is still a valid upper bound -- and the report is flagged.
     """
     if g.n < 2:
         raise DomainError(f"verify_chain requires n >= 2, got n = {g.n}")
     caps = caps or {}
-    values: dict[str, int] = {}
-    witnesses: dict[str, dict] = {}
-    pair: list = []
-    for name, param in PARAMS.items():
-        values[name], witnesses[name] = param.run(g, caps.get(name, param.cap), pair)
+    values, witnesses = solve(g, {name: caps.get(name, param.cap) for name, param in PARAMS.items()})
     s, s_strict, tw, pw, bw, r = values.values()
 
     flags = []

@@ -283,8 +283,17 @@ def _one_fill(*strictnesses, paired):
 
 
 def test_verify_chain_fills_the_separator_table_once(separator_calls):
-    verify_chain(random_graph(8, 0.5, 2400))
+    g = random_graph(8, 0.5, 2400)
+    verify_chain(g)
     assert separator_calls == _one_fill(False, True, paired=True)
+    # solve: in the order of its caps, each as the parameter alone gives it
+    separator_calls.clear()
+    caps = {"s_strict": 12, "tw": 12, "s": 12}
+    values, witnesses = solvers_mod.solve(g, caps)
+    assert separator_calls == _one_fill(True, False, paired=True)
+    assert list(values) == list(witnesses) == list(caps)
+    assert {name: (values[name], witnesses[name]) for name in caps} == {
+        name: PARAMS[name].run(g, cap) for name, cap in caps.items()}
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,6 +317,9 @@ def test_one_strictness_runs_the_single_fill(capsys, tmp_path, separator_calls, 
     code, _, _ = run(capsys, "compute", "--params", f"{param},tw", "--input", write_graph(tmp_path, PATH8))
     assert code == 0
     assert separator_calls == _one_fill(strict, paired=False)
+    separator_calls.clear()
+    solvers_mod.solve(path(8), {param: 12})
+    assert separator_calls == _one_fill(strict, paired=False)
 
 
 @pytest.mark.parametrize("params", ["s,s_strict", "s_strict,s"])
@@ -318,6 +330,9 @@ def test_lower_cap_on_one_strictness_is_refused_as_alone(capsys, tmp_path, monke
     refusal = "separator_number: n = 8 > cap 5"
     with pytest.raises(SizeLimitExceeded) as exc:
         verify_chain(path(8), {lowered: 5, "tw": 4})
+    assert str(exc.value) == refusal
+    with pytest.raises(SizeLimitExceeded) as exc:
+        solvers_mod.solve(path(8), {name: 5 if name == lowered else 12 for name in params.split(",")})
     assert str(exc.value) == refusal
     monkeypatch.setitem(PARAMS, lowered, dataclasses.replace(PARAMS[lowered], cap=5))
     f = write_graph(tmp_path, PATH8)
