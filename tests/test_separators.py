@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -456,3 +458,50 @@ def test_unbalanced_universe_is_an_invariant_violation(monkeypatch):
     with pytest.raises(InvariantViolation) as exc:
         separators_mod.min_balanced_separator_mask(path(3), 0b111, strict=False)
     assert str(exc.value) == "X = universe always balances; unreachable"
+
+
+# --- (s, Q, X) of every benchmark separator input, pinned ----------------------------
+
+
+def _subset_dp_separator_graphs(seed=1):
+    """The 40 `random_graph(12, p)` graphs the `subset_dp` benchmark runs
+    separator numbers on: its rng first shuffles the relabellings of the
+    four n = 16, 16, 18 and 16 width-DP graphs, then draws one seed each."""
+    rng = random.Random(seed)
+    for n in (16, 16, 18, 16):
+        rng.shuffle(list(range(n)))
+    return [random_graph(12, DENSITY_LADDER[i % len(DENSITY_LADDER)], rng.getrandbits(63))
+            for i in range(40)]
+
+
+def _acceptance_5_graphs():
+    from widthlab.corpus import named_families, random_corpus, tree_corpus
+
+    return [g for _, g in random_corpus(200, 10, 1) + tree_corpus(100, 12, 2) + named_families()]
+
+
+def _separator_digest(graphs):
+    """sha256 of the (s, Q, X) list, non-strict then strict per graph."""
+    rows = []
+    for g in graphs:
+        for strict in (False, True):
+            value, wit = separator_number_with_witness(g, strict=strict)
+            rows.append([value, wit["q"], wit["x"]])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# Recorded from the byte-table fills, before the lattice rewrite.
+SEPARATOR_DIGESTS = {
+    "acceptance-5": (_acceptance_5_graphs, 328,
+                     "01b16a17e34bcdd725f58528dffc52c8873cd8fcbae89c85535a6f237ad1afa8"),
+    "subset_dp seed 1": (_subset_dp_separator_graphs, 40,
+                         "1f1cb523707e374ce1a5c791691c349dddaa680f0054c7511edb33f90ea9f151"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARATOR_DIGESTS))
+def test_pinned_separator_witness_digests(name):
+    make, count, digest = SEPARATOR_DIGESTS[name]
+    graphs = make()
+    assert len(graphs) == count
+    assert _separator_digest(graphs) == digest
