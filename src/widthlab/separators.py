@@ -7,9 +7,10 @@ for connected G it forces a genuine split or fewer than two survivors,
 and for disconnected G it is the one reading that keeps the separator
 number well defined over all induced subgraphs.
 
-Balance of G[Q] - X depends only on the survivor set S = Q - X, which is
-what makes the separator-number computation a subset DP instead of a
-doubly exponential enumeration.
+Balance of G[Q] - X depends only on the survivor set S = Q - X, so the
+separator number is read off families of survivor sets, each held as one
+lattice set (`widthlab.lattice`), instead of a doubly exponential
+enumeration.
 """
 
 from __future__ import annotations
@@ -32,18 +33,27 @@ from .graph import (
     is_chordal,
     mask_of,
     maximal_cliques_chordal,
-    neighbourhood_tables,
 )
+from .lattice import connected, down1, members, neighbour_members, sizes, up, up1
 
 SEPARATOR_NUMBER_CAP = 12
 MIN_SEPARATOR_CAP = 20
 CLIQUE_SUBSET_CAP = 1 << 20
-# Memory the 2^n subset tables of one solver may take.  No cap raises the
-# n ceilings derived from it; the separator tables take two bytes per
-# subset (f, or the paired h, and the largest-component table), so 2^27
-# sets fill it.
+# Memory one solver's 2^n-slot tables, or its lattice sets of 2^n bits,
+# may take.  No cap raises the n ceilings derived from it.
 SUBSET_TABLE_BUDGET = 256 << 20
-SEPARATOR_TABLE_MAX_N = 27
+
+
+def separator_live_sets(n: int) -> int:
+    """Lattice sets of 2^n bits one separator-number pass holds at once:
+    P_v and T_v for every vertex, and at most 16 more (tracemalloc peaks
+    at 2n + 11 for n = 16 to 22)."""
+    return 2 * n + 16
+
+
+SEPARATOR_TABLE_MAX_N = max(
+    n for n in range(32) if separator_live_sets(n) << n >> 3 <= SUBSET_TABLE_BUDGET
+)
 
 
 def check_size(what: str, n: int, cap: int, table_max_n: int | None = None) -> None:
@@ -249,120 +259,24 @@ def pad_separator(g: Graph, x: Iterable[int]) -> tuple[int, ...]:
 # Balanced separator number
 
 
-def _max_balanced_subset_table(g: Graph, strict: bool) -> tuple[bytearray, bytearray, int]:
-    """(f, lc, Q): for every S, f[S] = largest balanced survivor set
-    contained in S and lc[S] = largest component of G[S]; Q is the
-    hardest induced subgraph.
+def _balanced_sets(g: Graph, strict: bool, p: list[int]) -> int:
+    """The lattice set of the balanced survivor sets of g.
 
-    f[S] = |S| if S is balanced, else the max over one-vertex removals,
-    a scan that stops at |S| - 1, the most any removal leaves.  S is
-    balanced iff lc[S] is within the limit, read from a list of the
-    limits by |S| built once per fill.  With C the component of the
-    lowest vertex of S, walked layer by layer through
-    `neighbourhood_tables`, lc[S] = max(|C|, lc[S - C]), taken by one
-    compare, and S - C < S is already filled.
-
-    Q is read during the fill, so no second sweep over the subsets runs.
-    G[S] needs a separator of |S| - f[S] vertices; a later mask replaces
-    Q = V only with a larger need, or an equal one and a larger |S|,
-    which keeps the first maximiser in decreasing |Q|, then ascending mask.
+    S is unbalanced iff some connected subset of S has `_limit(|S|)` + 1
+    vertices, so the unbalanced sets of size c are Size_c &
+    Up(Conn_{limit(c) + 1}).  The limit grows with c, so the sizes and
+    the connected levels are walked up together, and the walk stops at
+    the first order with no connected set.
     """
-    n = g.n
-    f = bytearray(1 << n)
-    lc = bytearray(1 << n)
-    w, lo, hi = neighbourhood_tables(g)
-    m = (1 << w) - 1
-    limits = [_limit(k, strict) for k in range(n + 1)]
-    q, q_need, q_size = g.full_mask, 0, n
-    for s_mask in range(1, 1 << n):
-        comp, grown = 0, s_mask & -s_mask
-        while grown != comp:
-            comp = grown
-            grown = (lo[comp & m] | hi[comp >> w] | comp) & s_mask
-        largest = comp.bit_count()
-        rest_largest = lc[s_mask ^ comp]
-        if rest_largest > largest:
-            largest = rest_largest
-        lc[s_mask] = largest
-        size = s_mask.bit_count()
-        if largest <= limits[size]:
-            f[s_mask] = size
-            continue
-        best = 0
-        rest = s_mask
-        while rest:
-            low = rest & -rest
-            val = f[s_mask ^ low]
-            if val > best:
-                best = val
-                if best == size - 1:
-                    break
-            rest ^= low
-        f[s_mask] = best
-        need = size - best
-        if need > q_need or need == q_need and size > q_size:
-            q, q_need, q_size = s_mask, need, size
-    return f, lc, q
-
-
-def _paired_subset_table(g: Graph) -> tuple[bytearray, bytearray, int, int]:
-    """(h, lc, Q, Q~): both strictnesses of `_max_balanced_subset_table`
-    from one fill.  h[S] = f[S] + f~[S], so f = (h + 1) >> 1 and
-    f~ = h >> 1; lc is the same table and Q, Q~ the two hardest subgraphs.
-
-    One byte holds both because f~ is f or f - 1: a set balanced under the
-    ceiling limit only has one component of (|S| + 1)/2 vertices, and
-    dropping any vertex of it balances it under the floor.  With
-    over = 2 lc[S] - |S|, h = 2|S| when over <= 0, h = 2|S| - 1 when
-    over == 1, and otherwise h[S] is the max of h[S - v], which by the
-    lemma is max f + max f~, a scan that stops at 2|S| - 2.
-    """
-    n = g.n
-    h = bytearray(1 << n)
-    lc = bytearray(1 << n)
-    w, lo, hi = neighbourhood_tables(g)
-    m = (1 << w) - 1
-    q, q_need, q_size = g.full_mask, 0, n
-    qs, qs_need, qs_size = g.full_mask, 0, n
-    for s_mask in range(1, 1 << n):
-        comp, grown = 0, s_mask & -s_mask
-        while grown != comp:
-            comp = grown
-            grown = (lo[comp & m] | hi[comp >> w] | comp) & s_mask
-        largest = comp.bit_count()
-        rest_largest = lc[s_mask ^ comp]
-        if rest_largest > largest:
-            largest = rest_largest
-        lc[s_mask] = largest
-        size = s_mask.bit_count()
-        over = 2 * largest - size
-        if over <= 0:
-            h[s_mask] = 2 * size
-            continue
-        if over == 1:
-            h[s_mask] = 2 * size - 1
-            if qs_need < 1 or qs_need == 1 and size > qs_size:
-                qs, qs_need, qs_size = s_mask, 1, size
-            continue
-        top = 2 * size - 2
-        best = 0
-        rest = s_mask
-        while rest:
-            low = rest & -rest
-            val = h[s_mask ^ low]
-            if val > best:
-                best = val
-                if best == top:
-                    break
-            rest ^= low
-        h[s_mask] = best
-        need = size - ((best + 1) >> 1)
-        if need > q_need or need == q_need and size > q_size:
-            q, q_need, q_size = s_mask, need, size
-        need = size - (best >> 1)
-        if need > qs_need or need == qs_need and size > qs_size:
-            qs, qs_need, qs_size = s_mask, need, size
-    return h, lc, q, qs
+    unbalanced, k, closure = 0, 0, 0
+    levels = connected(neighbour_members(g, p))
+    for c, size_c in enumerate(sizes(p)):
+        while k <= _limit(c, strict):
+            k, closure = k + 1, up(next(levels, 0), p)
+        if not closure:
+            break
+        unbalanced |= size_c & closure
+    return ((1 << (1 << g.n)) - 1) ^ unbalanced
 
 
 def separator_number(g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER_CAP) -> int:
@@ -373,35 +287,36 @@ def separator_number(g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER
 
 
 def separator_number_with_witness(
-    g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER_CAP, pair: list | None = None
+    g: Graph, strict: bool = False, cap: int = SEPARATOR_NUMBER_CAP
 ) -> tuple[int, dict]:
     """Separator number plus the hardest induced subgraph and its witness.
 
-    The witness subgraph Q is the first maximizer in the documented
-    enumeration order (decreasing |Q|, then ascending bitmask), and X is
-    the minimum-separator witness inside it: the first set of that size
-    whose survivors the largest-component table shows to be balanced.
-    X is re-checked by a walk over the survivors that reads no table.
-
-    A caller that wants both strictnesses of one graph passes the same
-    `pair` list, empty at first, to both calls: the first fills it with
-    `_paired_subset_table` once its own size check passes, and the
-    second reads its half.  Without `pair` the single-strictness fill
-    runs.
+    D_0 is the family of balanced sets and D_{k+1} = D_k | up1(D_k), so
+    S is in D_k iff removing at most k vertices from S leaves a balanced
+    set, and s is the least k with D_k = every set.  The witness
+    subgraph Q is the first maximizer in the documented enumeration order
+    (decreasing |Q|, then ascending bitmask): the lowest set of the
+    largest size outside D_{s-1}, or V when s = 0.  X is the
+    minimum-separator witness inside it: the first set of size s whose
+    survivors are balanced.  X is re-checked by a walk over the
+    survivors that reads no lattice set.
     """
     check_size("separator_number", g.n, cap, SEPARATOR_TABLE_MAX_N)
-    if pair is None:
-        f, lc, best_q = _max_balanced_subset_table(g, strict)
-        f_q = f[best_q]
-    else:
-        if not pair:
-            pair.extend(_paired_subset_table(g))
-        h, lc, q, q_strict = pair
-        best_q = q_strict if strict else q
-        f_q = h[best_q] >> 1 if strict else (h[best_q] + 1) >> 1
-    best = best_q.bit_count() - f_q
-    largest = _limit(f_q, strict)
-    x_mask = next(x for x in _subsets(best_q, best) if lc[best_q ^ x] <= largest)
+    p = members(g.n)
+    balanced = _balanced_sets(g, strict, p)
+    everything = (1 << (1 << g.n)) - 1
+    best, within, below = 0, balanced, 0
+    while within != everything:
+        best, below = best + 1, within
+        within |= up1(within, p)
+    best_q = g.full_mask
+    if best:
+        hardest, level = everything ^ below, 1 << g.full_mask
+        while not hardest & level:
+            level = down1(level, p)
+        hardest &= level
+        best_q = (hardest & -hardest).bit_length() - 1
+    x_mask = next(x for x in _subsets(best_q, best) if balanced >> (best_q ^ x) & 1)
     if not _balanced(g, best_q ^ x_mask, strict):
         raise InvariantViolation(f"separator witness {bits_of(x_mask)} does not balance Q")
     return best, {"q": list(bits_of(best_q)), "x": list(bits_of(x_mask))}

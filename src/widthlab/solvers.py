@@ -34,8 +34,8 @@ TW_CAP = 18
 PW_CAP = 18
 BW_CAP = 12
 BW_CAP_DEEP = 16
-# Fixed n ceilings that no cap raises: at one byte per subset, a 2^28-set
-# table fills SUBSET_TABLE_BUDGET.
+# Fixed n ceilings that no cap raises: these tables take one byte per
+# subset, so a 2^28-set table fills SUBSET_TABLE_BUDGET.
 TW_TABLE_MAX_N = 28
 PW_TABLE_MAX_N = 28
 RANK_TABLE_MAX_N = 28
@@ -612,15 +612,13 @@ class WidthReport:
 class Param:
     """One width parameter: its solver call, caps and JSON witness; `solve` runs several."""
 
-    # (g, cap, pair) -> (value, raw witness); `pair` is the separator
-    # table list both strictnesses of one graph share, or None.
-    solve: Callable[[Graph, int, list | None], tuple]
+    solve: Callable[[Graph, int], tuple]  # (g, cap) -> (value, raw witness)
     cap: int
     deep_cap: int
     witness: Callable[[object], dict]  # raw witness -> JSON witness
 
-    def run(self, g: Graph, cap: int, pair: list | None = None) -> tuple[int, dict]:
-        value, raw = self.solve(g, cap, pair)
+    def run(self, g: Graph, cap: int) -> tuple[int, dict]:
+        value, raw = self.solve(g, cap)
         return value, self.witness(raw)
 
 
@@ -628,31 +626,27 @@ class Param:
 # module-level name at call time, so a wrapper installed on a module
 # attribute sees every call made through the registry.
 PARAMS: dict[str, Param] = {
-    "s": Param(lambda g, cap, pair: separator_number_with_witness(g, strict=False, cap=cap, pair=pair),
+    "s": Param(lambda g, cap: separator_number_with_witness(g, strict=False, cap=cap),
                SEPARATOR_NUMBER_CAP, SEPARATOR_NUMBER_CAP, lambda wit: wit),
-    "s_strict": Param(lambda g, cap, pair: separator_number_with_witness(g, strict=True, cap=cap, pair=pair),
+    "s_strict": Param(lambda g, cap: separator_number_with_witness(g, strict=True, cap=cap),
                       SEPARATOR_NUMBER_CAP, SEPARATOR_NUMBER_CAP, lambda wit: wit),
-    "tw": Param(lambda g, cap, pair: treewidth(g, cap=cap), TW_CAP, TW_CAP,
+    "tw": Param(lambda g, cap: treewidth(g, cap=cap), TW_CAP, TW_CAP,
                 lambda order: {"elimination_order": list(order)}),
-    "pw": Param(lambda g, cap, pair: pathwidth(g, cap=cap), PW_CAP, PW_CAP,
+    "pw": Param(lambda g, cap: pathwidth(g, cap=cap), PW_CAP, PW_CAP,
                 lambda order: {"layout": list(order)}),
-    "bw": Param(lambda g, cap, pair: bandwidth(g, cap=cap), BW_CAP, BW_CAP_DEEP,
+    "bw": Param(lambda g, cap: bandwidth(g, cap=cap), BW_CAP, BW_CAP_DEEP,
                 lambda layout: {"layout": list(layout)}),
-    "r": Param(lambda g, cap, pair: cycle_rank(g, cap=cap), RANK_CAP, RANK_CAP_DEEP,
+    "r": Param(lambda g, cap: cycle_rank(g, cap=cap), RANK_CAP, RANK_CAP_DEEP,
                Ranking.to_json_dict),
 }
 
 
 def solve(g: Graph, caps: dict[str, int]) -> tuple[dict[str, int], dict[str, dict]]:
-    """(values, witnesses) of each parameter in `caps`, in its order, at its
-    cap.  When `caps` names both `s` and `s_strict`, the first of the two
-    fills one paired separator table after its own size check and hands it
-    to the second through a per-graph `pair` list."""
-    pair = [] if "s" in caps and "s_strict" in caps else None
+    """(values, witnesses) of each parameter in `caps`, in its order, at its cap."""
     values: dict[str, int] = {}
     witnesses: dict[str, dict] = {}
     for name, cap in caps.items():
-        values[name], witnesses[name] = PARAMS[name].run(g, cap, pair)
+        values[name], witnesses[name] = PARAMS[name].run(g, cap)
     return values, witnesses
 
 
@@ -662,11 +656,11 @@ def verify_chain(g: Graph, caps: dict[str, int] | None = None) -> WidthReport:
     `caps` maps parameter names to size caps; a missing name gets its
     default cap from PARAMS.  The non-strict separator number feeds the
     newer chain, the strict one feeds the older chain, exactly as the two
-    statements are phrased; `solve` fills one paired separator table for
-    both.  A violated inequality is reported, never raised.  For edgeless
-    graphs (s = 0) the logarithmic bound is evaluated at k = 1 -- the
-    smallest k the recurrence is defined for; the bound is monotone in k,
-    so this is still a valid upper bound -- and the report is flagged.
+    statements are phrased.  A violated inequality is reported, never
+    raised.  For edgeless graphs (s = 0) the logarithmic bound is evaluated
+    at k = 1 -- the smallest k the recurrence is defined for; the bound is
+    monotone in k, so this is still a valid upper bound -- and the report
+    is flagged.
     """
     if g.n < 2:
         raise DomainError(f"verify_chain requires n >= 2, got n = {g.n}")

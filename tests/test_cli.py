@@ -3,7 +3,6 @@ import gc
 import inspect
 import json
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -248,27 +247,25 @@ def test_verify_chain_violation_exit1(capsys, tmp_path):
     assert payload["thm9_ok"] is False and payload["thm2_ok"] is True
 
 
-# --- one separator fill for both strictnesses ------------------------------------
+# --- one lattice pass per separator number --------------------------------------
 
 
 @pytest.fixture
 def separator_calls(monkeypatch):
-    """Counts of the paired and the single separator fills, and of each
-    strictness of `separator_number_with_witness`, wherever a module holds
-    them by name, as the benchmark's tracer finds them."""
-    calls = Counter()
+    """Calls of `separator_number_with_witness` and of its lattice pass
+    `_balanced_sets`, each with its strictness, in call order, wherever a
+    module holds them by name, as the benchmark's tracer finds them."""
+    calls = []
     separator = separators_mod.separator_number_with_witness
 
     def counting(fn):
         def wrapper(*args, **kwargs):
-            key = fn.__name__
-            if fn is separator:
-                key = (key, kwargs.get("strict", args[1] if len(args) > 1 else False))
-            calls[key] += 1
+            strict = kwargs.get("strict", args[1] if len(args) > 1 else False)
+            calls.append((fn.__name__, strict))
             return fn(*args, **kwargs)
         return wrapper
 
-    for fn in (separator, separators_mod._paired_subset_table, separators_mod._max_balanced_subset_table):
+    for fn in (separator, separators_mod._balanced_sets):
         wrapper = counting(fn)
         for mod in (separators_mod, solvers_mod, cli_mod):
             for attr, value in list(vars(mod).items()):
@@ -277,20 +274,22 @@ def separator_calls(monkeypatch):
     return calls
 
 
-def _one_fill(*strictnesses, paired):
-    fill = "_paired_subset_table" if paired else "_max_balanced_subset_table"
-    return {fill: 1, **{("separator_number_with_witness", strict): 1 for strict in strictnesses}}
+def _one_pass_each(*strictnesses):
+    """One separator-number call per strictness, in this order, each
+    running its own lattice pass."""
+    return [call for strict in strictnesses
+            for call in (("separator_number_with_witness", strict), ("_balanced_sets", strict))]
 
 
 def test_verify_chain_fills_the_separator_table_once(separator_calls):
     g = random_graph(8, 0.5, 2400)
     verify_chain(g)
-    assert separator_calls == _one_fill(False, True, paired=True)
+    assert separator_calls == _one_pass_each(False, True)
     # solve: in the order of its caps, each as the parameter alone gives it
     separator_calls.clear()
     caps = {"s_strict": 12, "tw": 12, "s": 12}
     values, witnesses = solvers_mod.solve(g, caps)
-    assert separator_calls == _one_fill(True, False, paired=True)
+    assert separator_calls == _one_pass_each(True, False)
     assert list(values) == list(witnesses) == list(caps)
     assert {name: (values[name], witnesses[name]) for name in caps} == {
         name: PARAMS[name].run(g, cap) for name, cap in caps.items()}
@@ -305,21 +304,22 @@ def test_verify_chain_fills_the_separator_table_once(separator_calls):
 def test_both_strictnesses_fill_the_separator_table_once(capsys, tmp_path, separator_calls, argv):
     code, _, _ = run(capsys, *argv, "--input", write_graph(tmp_path, PATH8))
     assert code == 0
-    assert separator_calls == _one_fill(False, True, paired=True)
+    names = argv[-1].split(",") if argv[0] == "compute" else list(PARAMS)
+    assert separator_calls == _one_pass_each(*(name == "s_strict" for name in names if name in ("s", "s_strict")))
 
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_one_strictness_runs_the_single_fill(capsys, tmp_path, separator_calls, strict):
     separators_mod.separator_number_with_witness(path(8), strict)
-    assert separator_calls == _one_fill(strict, paired=False)
+    assert separator_calls == _one_pass_each(strict)
     separator_calls.clear()
     param = "s_strict" if strict else "s"
     code, _, _ = run(capsys, "compute", "--params", f"{param},tw", "--input", write_graph(tmp_path, PATH8))
     assert code == 0
-    assert separator_calls == _one_fill(strict, paired=False)
+    assert separator_calls == _one_pass_each(strict)
     separator_calls.clear()
     solvers_mod.solve(path(8), {param: 12})
-    assert separator_calls == _one_fill(strict, paired=False)
+    assert separator_calls == _one_pass_each(strict)
 
 
 @pytest.mark.parametrize("params", ["s,s_strict", "s_strict,s"])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -29,17 +30,18 @@ from widthlab import (
 )
 from widthlab import separators as separators_mod
 from widthlab.graph import bits_of, component_masks, maximal_cliques_chordal
+from widthlab.lattice import members, up1
 from widthlab.separators import (
     SEPARATOR_TABLE_MAX_N,
     SUBSET_TABLE_BUDGET,
     _balanced,
-    _max_balanced_subset_table,
-    _paired_subset_table,
+    _balanced_sets,
     _subsets,
     min_balanced_separator_mask,
+    separator_live_sets,
 )
 
-from .conftest import _adj_sets, _components, _mask_order
+from .conftest import _adj_sets, _mask_order
 from .conftest import _balanced as oracle_balanced
 from .conftest import (
     oracle_max_balanced_subset_table,
@@ -245,14 +247,17 @@ def test_separator_table_refused_above_its_ceiling():
     for strict in (False, True):
         with pytest.raises(SizeLimitExceeded, match="no cap raises"):
             separator_number(path(SEPARATOR_TABLE_MAX_N + 1), strict=strict, cap=100)
-    # Two one-byte tables, f and the largest-component table: 2 bytes per subset.
-    assert 2 << SEPARATOR_TABLE_MAX_N <= SUBSET_TABLE_BUDGET < 2 << (SEPARATOR_TABLE_MAX_N + 1)
+    # The lattice sets one pass holds at once, 2^n bits each, fit the budget
+    # at the ceiling and not above it.
+    def lattice_bytes(n):
+        return separator_live_sets(n) << n >> 3
+    assert lattice_bytes(SEPARATOR_TABLE_MAX_N) <= SUBSET_TABLE_BUDGET < lattice_bytes(SEPARATOR_TABLE_MAX_N + 1)
 
 
 DENSITY_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-# --- the balance test and the subset table against the oracles --------------------
+# --- the balance test and the lattice pass against the oracles --------------------
 
 BALANCE_GRAPHS = [random_graph(n, p, 2800 + n) for n in (5, 7, 9) for p in DENSITY_LADDER[::2]]
 BALANCE_GRAPHS += [
@@ -267,46 +272,46 @@ BALANCE_GRAPHS += [
 BALANCE_GRAPHS += [random_graph(11, p, 2811) for p in (0.3, 0.7)]
 
 
+def _needs(g, strict):
+    """need[S], the fewest vertices whose removal balances S, read off the
+    D_k of the lattice pass: S is outside D_k for every k < need[S]."""
+    p = members(g.n)
+    everything = (1 << (1 << g.n)) - 1
+    levels = [_balanced_sets(g, strict, p)]
+    while levels[-1] != everything:
+        levels.append(levels[-1] | up1(levels[-1], p))
+    return [sum(not d >> s_mask & 1 for d in levels) for s_mask in range(1 << g.n)]
+
+
+def assert_lattice_needs_match(g):
+    """need[S] = |S| - f[S] for the oracle's largest balanced subset f, in
+    both strictnesses, and the strict need is the other or one more."""
+    needs = {}
+    for strict in (False, True):
+        f = oracle_max_balanced_subset_table(g, strict)
+        needs[strict] = _needs(g, strict)
+        assert needs[strict] == [s_mask.bit_count() - f[s_mask] for s_mask in range(1 << g.n)]
+    assert all(loose <= strict <= loose + 1 for loose, strict in zip(needs[False], needs[True]))
+
+
 @pytest.mark.parametrize("i", range(len(BALANCE_GRAPHS)))
 def test_balance_kernel_matches_oracle(i):
     g = BALANCE_GRAPHS[i]
     adj = _adj_sets(g)
-    largest = [
-        max((len(c) for c in _components(adj, bits_of(s_mask))), default=0)
-        for s_mask in range(1 << g.n)
-    ]
     for strict in (False, True):
+        balanced = _balanced_sets(g, strict, members(g.n))
         for s_mask in range(1 << g.n):
-            assert _balanced(g, s_mask, strict) == oracle_balanced(adj, bits_of(s_mask), (), strict)
-        f, lc, _ = _max_balanced_subset_table(g, strict)
-        assert list(f) == oracle_max_balanced_subset_table(g, strict)
-        assert list(lc) == largest
-    assert_paired_fill_matches(g)
-
-
-def assert_paired_fill_matches(g):
-    """The paired fill decodes to both single fills and their oracle, with
-    the same largest-component table and both hardest subgraphs; handed
-    from one call to the other, in either order, it gives each call's
-    lone value and witness."""
-    h, lc, q, q_strict = _paired_subset_table(g)
-    halves = ((False, bytes((v + 1) >> 1 for v in h), q), (True, bytes(v >> 1 for v in h), q_strict))
-    for strict, f_half, q_half in halves:
-        f, lc_single, q_single = _max_balanced_subset_table(g, strict)
-        assert f_half == f
-        assert list(f_half) == oracle_max_balanced_subset_table(g, strict)
-        assert lc == lc_single
-        assert q_half == q_single
-    for order in ((False, True), (True, False)):
-        pair = []
-        for strict in order:
-            assert separator_number_with_witness(g, strict, pair=pair) == separator_number_with_witness(g, strict)
+            verdict = oracle_balanced(adj, bits_of(s_mask), (), strict)
+            assert _balanced(g, s_mask, strict) == verdict
+            assert balanced >> s_mask & 1 == verdict
+    assert_lattice_needs_match(g)
 
 
 @pytest.mark.parametrize("n", range(13))
 def test_paired_fill_matches_single_fills_on_the_density_ladder(n):
+    # Both strictnesses' needs against the oracle, each from its own pass.
     for p in DENSITY_LADDER:
-        assert_paired_fill_matches(random_graph(n, p, 3200 + n))
+        assert_lattice_needs_match(random_graph(n, p, 3200 + n))
 
 
 def _first_hardest_by_scan(g, f):
@@ -322,10 +327,12 @@ def _first_hardest_by_scan(g, f):
 
 @pytest.mark.parametrize("i", range(len(BALANCE_GRAPHS)))
 def test_fill_records_the_first_hardest_subgraph(i):
+    # Q of the lattice pass against a scan over the oracle's f.
     g = BALANCE_GRAPHS[i]
     for strict in (False, True):
-        f, _, q = _max_balanced_subset_table(g, strict)
-        assert q == _first_hardest_by_scan(g, f)
+        f = oracle_max_balanced_subset_table(g, strict)
+        _, wit = separator_number_with_witness(g, strict)
+        assert sum(1 << v for v in wit["q"]) == _first_hardest_by_scan(g, f)
 
 
 def test_hardest_subgraph_when_every_set_balances_or_only_singletons_fail():
@@ -402,6 +409,28 @@ def test_separator_search_builds_no_tables():
     assert g._neighbourhood_tables is None
 
 
+def test_separator_number_builds_no_byte_tables():
+    g = random_graph(12, 0.5, 3160)
+    for strict in (False, True):
+        separator_number_with_witness(g, strict=strict)
+    assert g._neighbourhood_tables is None
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_separator_number_memory_within_its_live_sets(strict):
+    # At a raised cap, the pass peaks within the live-set count that the
+    # ceiling SEPARATOR_TABLE_MAX_N is derived from.
+    n = 18
+    g = random_graph(n, 0.3, 7)
+    tracemalloc.start()
+    try:
+        separator_number_with_witness(g, strict=strict, cap=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= separator_live_sets(n) << n >> 3
+
+
 def test_separator_search_has_no_table_ceiling():
     # A raised cap reaches n far above SEPARATOR_TABLE_MAX_N.
     g = path(100)
@@ -445,7 +474,7 @@ def test_pinned_separator_witnesses():
 
 
 def test_separator_witness_is_rechecked_without_tables(monkeypatch):
-    # X is read off the largest-component table; a balance walk that
+    # X is read off the lattice set of balanced sets; a balance walk that
     # rejects it must stop the call.
     monkeypatch.setattr(separators_mod, "_balanced", lambda g, survivors, strict: False)
     for strict in (False, True):
