@@ -163,6 +163,56 @@ def test_pinned_treewidth_table_bytes(name):
     assert hashlib.sha256(_treewidth_table(g, ub)).hexdigest() == digest
 
 
+# (value, layout) recorded from the solver; each equals `oracle_pathwidth_dp`'s,
+# which takes seconds at these sizes.  Both graphs are benchmark inputs.
+PINNED_PW = {
+    "random(16,0.5,7)": (
+        random_graph(16, 0.5, 7),
+        (9, (15, 14, 13, 12, 11, 7, 6, 5, 4, 3, 2, 9, 1, 8, 10, 0)),
+    ),
+    "random(18,0.3,7)": (
+        random_graph(18, 0.3, 7),
+        (5, (17, 14, 12, 11, 8, 4, 2, 3, 9, 6, 0, 13, 16, 15, 10, 7, 5, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PW))
+def test_pinned_pathwidth_layouts(name):
+    g, pw = PINNED_PW[name]
+    assert pathwidth(g) == pw
+
+
+def _greedy_pathwidth_bound(g):
+    return min(separation_profile(g, _min_boundary_layout(g, fewest_new))
+               for fewest_new in (False, True))
+
+
+# sha256 of min(PW(S), ub + 1) for every S, one byte each in ascending order
+# of S, at the greedy layout bound ub, for the graphs of TW_TABLE_DIGESTS.
+PW_TABLE_DIGESTS = {
+    "random(16,0.3,7)": (random_graph(16, 0.3, 7), 5,
+                         "64e6a2abb787dedb15cdbb6a58baaef852797e47570a7c5335a08cab1632e645"),
+    "random(16,0.5,7)": (random_graph(16, 0.5, 7), 10,
+                         "473607f00db5226bbc1e9a74fc650b688c365016d8132240b0328ebd980e6dd1"),
+    "random(18,0.3,7)": (random_graph(18, 0.3, 7), 5,
+                         "ee3b0edb56c8ca214f0c00d833097ea33b045da05cfa1b0675a4f90dcf9e7876"),
+    "Q4": (hypercube(4), 7,
+           "8c22f1459578fa8b7d33fe27c7426a271f130b5025b24d88a13d2ef8ef07f7c0"),
+    "hypercube(3)": (hypercube(3), 4,
+                     "c4640ced206c3263c95486471288eb9c52ae1a5ee90a6944c3660e3d8e9943e1"),
+    "random(n=8,p=0.6)": (random_corpus(200, 10, 1)[68][1], 3,
+                          "18e6224f3227411691b9c220068a91ea7709b3a9dd989fb6a2dba84fac71efc7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PW_TABLE_DIGESTS))
+def test_pinned_pathwidth_table_bytes(name):
+    g, ub, digest = PW_TABLE_DIGESTS[name]
+    assert _greedy_pathwidth_bound(g) == ub
+    assert hashlib.sha256(bytes(_pathwidth_table(g, ub))).hexdigest() == digest
+
+
 # --- the pruned tables and their greedy bounds ------------------------------------
 
 TABLE_GRAPHS = [random_graph(n, p, 2400 + n) for n in (4, 7, 9) for p in DENSITY_LADDER[::2]]
