@@ -7,7 +7,11 @@ With P_v the family of the sets that contain v, (X << 2^v) & P_v moves
 each member S of X without v to S + 2^v = S + {v} and drops each member
 with v, whose shift carries out of P_v.  Looping that over v is the OR
 form of the zeta transform (Björklund, Husfeldt, Kaski and Koivisto,
-"Fourier meets Möbius: fast subset convolution", STOC 2007).
+"Fourier meets Möbius: fast subset convolution", STOC 2007).  Masked by
+a family B and repeated until it adds nothing, it reaches every set that
+one-vertex steps through B lead to, and vertex orderings are such paths
+(Bodlaender, Fomin, Koster, Kratsch and Thilikos, "A note on exact
+algorithms for vertex ordering problems on graphs", ToCS 2012).
 """
 
 from __future__ import annotations
@@ -63,6 +67,17 @@ def up(x: int, p: list[int]) -> int:
     """The superset closure of X: up1's loop with X grown in place."""
     for v, p_v in enumerate(p):
         x |= (x << (1 << v)) & p_v
+    return x
+
+
+def reach(x: int, p: list[int], within: int) -> int:
+    """The sets reached from X by one-vertex steps that each land in
+    `within`: up's loop, masked by it and swept until it adds nothing."""
+    last = None
+    while x != last:
+        last = x
+        for v, p_v in enumerate(p):
+            x |= (x << (1 << v)) & p_v & within
     return x
 
 

@@ -20,9 +20,11 @@ from typing import Callable
 from .closed_forms import R_rec, bound_log_chain, bound_thm6
 from .errors import DomainError, InvariantViolation, SizeLimitExceeded
 from .graph import Graph, bits_of, component_masks, neighbourhood_tables, reach_mask
+from .lattice import members, reach
 from .separators import (
     MIN_SEPARATOR_CAP,
     SEPARATOR_NUMBER_CAP,
+    SUBSET_TABLE_BUDGET,
     check_size,
     padded_separator_mask,
     separator_number_with_witness,
@@ -37,8 +39,17 @@ BW_CAP_DEEP = 16
 # Fixed n ceilings that no cap raises: these tables take one byte per
 # subset, so a 2^28-set table fills SUBSET_TABLE_BUDGET.
 TW_TABLE_MAX_N = 28
-PW_TABLE_MAX_N = 28
 RANK_TABLE_MAX_N = 28
+
+
+def pathwidth_live_sets(n: int) -> int:
+    """Lattice sets of 2^n bits one pathwidth pass holds at once: P_v, the
+    G_k not yet used with the levels made so far (n + 1, as ub < n), and 15
+    more (tracemalloc peaks at about 2n + 8 for n = 16 to 20)."""
+    return 2 * n + 16
+
+
+PW_TABLE_MAX_N = max(n for n in range(32) if pathwidth_live_sets(n) << n >> 3 <= SUBSET_TABLE_BUDGET)
 # The bandwidth search recurses once per layout position; this ceiling keeps
 # it well inside Python's default limit of 1,000 frames.  No cap raises it.
 BW_SEARCH_MAX_N = 512
@@ -419,58 +430,69 @@ def _min_boundary_layout(g: Graph, fewest_new: bool = False) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _pathwidth_table(g: Graph, ub: int) -> bytearray:
-    """PW(S) for every S whose value is at most `ub`; every other S holds ub + 1."""
-    full = g.full_mask
-    pw = bytearray([ub + 1]) * (full + 1)
-    pw[0] = 0
-    w, lo, hi = neighbourhood_tables(g)
-    m = (1 << w) - 1
-    for done in range(full + 1):
-        val = pw[done]  # the best over predecessors, before the boundary of `done`
-        if val > ub:
-            continue
-        out = full ^ done
-        b = (done & (lo[out & m] | hi[out >> w])).bit_count()
-        if b > ub:
-            pw[done] = ub + 1
-            continue
-        if b > val:
-            val = pw[done] = b
-        rest = full ^ done
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if val < pw[done | low]:
-                pw[done | low] = val
-    return pw
+def _pathwidth_levels(g: Graph, ub: int) -> list[bytes]:
+    """L_0, ..., L_ub with L_t = {S : PW(S) <= t}, each as the little-endian
+    bytes of a lattice set, so a membership read is O(1).  I_u = P_u &
+    ~(AND of P_w over the neighbours w of u) holds the sets with u on their
+    boundary; counted up over u they give G_k, the sets with at least k,
+    and B_t = {S : boundary of S <= t} is the complement of G_{t+1}.  L_t,
+    the sets reached from the empty set by one-vertex steps through B_t,
+    is grown from L_{t-1}."""
+    p = members(g.n)
+    everything = (1 << (1 << g.n)) - 1
+    at_least = [everything] + [0] * (ub + 1)
+    for u, p_u in enumerate(p):
+        inside = everything
+        for w in bits_of(g.adj_bits[u]):
+            inside &= p[w]
+        i_u = p_u & ~inside
+        for k in range(min(u + 1, ub + 1), 0, -1):
+            at_least[k] |= at_least[k - 1] & i_u
+    levels, level = [], 1
+    for t in range(ub + 1):
+        within, at_least[t + 1] = everything ^ at_least[t + 1], None
+        level = reach(level, p, within)
+        levels.append(level.to_bytes(max(1, 1 << g.n >> 3), "little"))
+    return levels
 
 
 def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact pathwidth via the vertex-separation characterization.
 
-    PW(S) is the best worst-boundary over orderings that use S as the
-    set of first |S| layout positions: PW(S) = max(boundary of S, min
-    over v in S of PW(S - v)); pathwidth equals PW(V).
-
-    The table is pruned as in `treewidth`, with ub the better of the two
-    greedy layouts of `_min_boundary_layout`, replayed by
-    `separation_profile`.  A set reached with a value at most ub takes its
-    boundary, |S & N(V - S)| off `neighbourhood_tables`, and pushes the
-    result to S + v unless it exceeds ub.  So the witness, the smallest-id
-    choice at every step back from V, is the one the unpruned table
-    gives; it is re-validated by its separation profile.
+    PW(S), the best worst boundary over layouts that start with S, is
+    max(boundary of S, min over v in S of PW(S - v)), and pathwidth is
+    PW(V).  PW(S) is the least t with S in L_t of `_pathwidth_levels`
+    (layouts as lattice paths: Bodlaender, Fomin, Koster, Kratsch and
+    Thilikos 2012), up to ub, the better greedy layout of
+    `_min_boundary_layout` replayed by `separation_profile`.  The witness steps back from V to S - v for the
+    smallest-id v with S - v in L_{PW(S)}, which is exactly the rule
+    max(b(S), PW(S - v)) = PW(S) of the unpruned table, b the boundary:
+    the max equal to PW(S) gives PW(S - v) <= PW(S); conversely, if
+    PW(S - v) <= PW(S), then b(S) = PW(S) or PW(S) = min over u of
+    PW(S - u) <= PW(S - v), and the max is PW(S) either way.  Along the
+    walk PW(S) <= PW(V) <= ub, so the level is there.  The layout is
+    re-validated by its separation profile.
     """
     n = g.n
     check_size("pathwidth", n, cap, PW_TABLE_MAX_N)
     if n == 0:
         return 0, ()
     full = g.full_mask
-    pw = _pathwidth_table(g, min(separation_profile(g, _min_boundary_layout(g, fewest_new))
-                                 for fewest_new in (False, True)))
-    value = pw[full]
-    order = _walk_back(full, lambda s_mask, low:
-                       max(_boundary(g, s_mask), pw[s_mask ^ low]) == pw[s_mask])
+    levels = _pathwidth_levels(g, min(separation_profile(g, _min_boundary_layout(g, fewest_new))
+                                      for fewest_new in (False, True)))
+
+    def level_of(s_mask: int) -> int:
+        t = 0
+        while not levels[t][s_mask >> 3] >> (s_mask & 7) & 1:
+            t += 1
+        return t
+
+    def attains(s_mask: int, low: int) -> bool:
+        rest = s_mask ^ low
+        return levels[level_of(s_mask)][rest >> 3] >> (rest & 7) & 1
+
+    value = level_of(full)
+    order = _walk_back(full, attains)
     if separation_profile(g, order) != value:
         raise InvariantViolation("pathwidth witness does not replay to the DP value")
     return value, order

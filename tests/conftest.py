@@ -257,6 +257,14 @@ def oracle_pathwidth_table(g: Graph) -> list[int]:
     return pw
 
 
+def level_values(levels, n: int) -> list[int]:
+    """Per-set values of the levels L_0, ..., L_ub of a pathwidth pass
+    (bit S of L_t in little-endian bytes): the least t with S in L_t, or
+    ub + 1 if there is none."""
+    return [next((t for t, level in enumerate(levels) if level[s >> 3] >> (s & 7) & 1), len(levels))
+            for s in range(1 << n)]
+
+
 def oracle_pathwidth_dp(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Pathwidth and witness from the unpruned table: the smallest-id v
     that attains PW(S), at each step back from V."""

@@ -172,6 +172,21 @@ def test_compute_refuses_oversized_subset_table_exit4(capsys, tmp_path, param):
     assert "no cap raises this" in lines[0]
 
 
+def test_compute_refuses_pathwidth_above_its_lattice_ceiling_exit4(capsys, tmp_path):
+    # Pathwidth keeps lattice sets, not a byte table, so its ceiling sits
+    # below the treewidth one: a path just above it is refused at a cap that
+    # admits it.
+    n = PW_TABLE_MAX_N + 1
+    f = write_graph(tmp_path, f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    code, out, err = run(capsys, "compute", "--input", f, "--params", "pw", "--cap-n", str(n))
+    assert (code, out) == (4, "")
+    assert PW_TABLE_MAX_N < TW_TABLE_MAX_N
+    assert err.splitlines()[-1] == (
+        f"error: size limit: pathwidth: n = {n} > {PW_TABLE_MAX_N}, the largest subset table "
+        f"that fits in 256 MiB; no cap raises this"
+    )
+
+
 def test_compute_unknown_param_exit2(capsys, tmp_path):
     f = write_graph(tmp_path, PATH8)
     code, _, _ = run(capsys, "compute", "--input", f, "--params", "zz")

@@ -24,19 +24,24 @@ from widthlab import (
     star,
     treewidth,
 )
+from widthlab import solvers as solvers_mod
 from widthlab.corpus import random_corpus
+from widthlab.graph import bits_of
+from widthlab.lattice import reach
 from widthlab.solvers import (
     _boundary,
     _min_boundary_layout,
     _min_fill_order,
-    _pathwidth_table,
+    _pathwidth_levels,
     _treewidth_table,
+    _walk_back,
     eliminate_and_measure,
     separation_profile,
 )
 
 from .conftest import (
     _oracle_boundary,
+    level_values,
     oracle_cycle_rank_dp,
     oracle_fewest_new_layout,
     oracle_pathwidth_dp,
@@ -210,7 +215,8 @@ PW_TABLE_DIGESTS = {
 def test_pinned_pathwidth_table_bytes(name):
     g, ub, digest = PW_TABLE_DIGESTS[name]
     assert _greedy_pathwidth_bound(g) == ub
-    assert hashlib.sha256(bytes(_pathwidth_table(g, ub))).hexdigest() == digest
+    table = bytes(level_values(_pathwidth_levels(g, ub), g.n))
+    assert hashlib.sha256(table).hexdigest() == digest
 
 
 # --- the pruned tables and their greedy bounds ------------------------------------
@@ -223,12 +229,54 @@ TABLE_GRAPHS += [random_tree(9, 2500), hypercube(3), Graph(5), Graph(0)]
 def test_pruned_tables_are_exact_up_to_the_bound(i):
     # For every bound, a set whose value is at most the bound holds that
     # value and every other set holds bound + 1, so the tables differ from
-    # the unpruned ones only where reconstruction never looks.
+    # the unpruned ones only where reconstruction never looks.  Pathwidth
+    # keeps levels instead: L_t holds exactly the sets of value at most t,
+    # for t up to the bound, one bit per set and at least one byte.
     g = TABLE_GRAPHS[i]
     full_tw, full_pw = oracle_treewidth_table(g), oracle_pathwidth_table(g)
     for ub in range(g.n + 1):
         assert list(_treewidth_table(g, ub)) == [min(v, ub + 1) for v in full_tw]
-        assert list(_pathwidth_table(g, ub)) == [min(v, ub + 1) for v in full_pw]
+        levels = _pathwidth_levels(g, ub)
+        assert len(levels) == ub + 1
+        assert {len(level) for level in levels} == {max(1, (1 << g.n) >> 3)}
+        sets = [int.from_bytes(level, "little") for level in levels]
+        assert all(low & ~high == 0 for low, high in zip(sets, sets[1:]))  # nested
+        assert sets[-1] >> (1 << g.n) == 0  # no bit past the last set
+        assert level_values(levels, g.n) == [min(v, ub + 1) for v in full_pw]
+
+
+@pytest.mark.parametrize("i", range(len(TABLE_GRAPHS)))
+def test_level_walk_agrees_with_the_boundary_rule(i, monkeypatch):
+    # Level t is swept inside B_t = {S : boundary(S) <= t}, for every
+    # bound.  And the walk back of `pathwidth`, run on the levels of any
+    # bound ub >= pw, steps from S to S - v exactly when
+    # max(boundary(S), PW(S - v)) == PW(S), the rule of the unpruned DP, at
+    # every S of value at most ub and every v in S.
+    g = TABLE_GRAPHS[i]
+    pw = oracle_pathwidth_table(g)
+    boundary = [_oracle_boundary(g.adj_bits, s_mask) for s_mask in range(1 << g.n)]
+    bounds = []
+    monkeypatch.setattr(solvers_mod, "reach",
+                        lambda x, p, within: bounds.append(within) or reach(x, p, within))
+    for ub in range(g.n + 1):
+        bounds.clear()
+        _pathwidth_levels(g, ub)
+        assert bounds == [sum(1 << s_mask for s_mask, b in enumerate(boundary) if b <= t)
+                          for t in range(ub + 1)]
+    walks = []
+    monkeypatch.setattr(solvers_mod, "_walk_back",
+                        lambda full, attains: walks.append(attains) or _walk_back(full, attains))
+    for ub in range(pw[-1], g.n + 1):
+        monkeypatch.setattr(solvers_mod, "_pathwidth_levels", lambda graph, _: _pathwidth_levels(graph, ub))
+        assert pathwidth(g) == oracle_pathwidth_dp(g)
+        if g.n == 0:
+            continue
+        attains = walks.pop()
+        for s_mask in range(1 << g.n):
+            if pw[s_mask] <= ub:
+                for v in bits_of(s_mask):
+                    rule = max(boundary[s_mask], pw[s_mask ^ 1 << v]) == pw[s_mask]
+                    assert bool(attains(s_mask, 1 << v)) == rule
 
 
 @pytest.mark.parametrize("i", range(len(TABLE_GRAPHS)))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,7 @@ from widthlab.solvers import (
     TW_TABLE_MAX_N,
     _walk_back,
     eliminate_and_measure,
+    pathwidth_live_sets,
     separation_profile,
 )
 
@@ -289,10 +291,37 @@ def test_replays_build_no_tables():
 )
 def test_width_tables_refused_above_their_ceiling(solve, ceiling):
     # Refused before the 2^n table is allocated, whatever the cap; the
-    # table takes one byte per subset.
+    # table takes one byte per subset.  Pathwidth holds lattice sets of 2^n
+    # bits instead, `pathwidth_live_sets(n)` of them at once.
     with pytest.raises(SizeLimitExceeded, match="no cap raises"):
         solve(path(ceiling + 1), cap=100)
-    assert 1 << ceiling <= SUBSET_TABLE_BUDGET < 1 << (ceiling + 1)
+    if solve is pathwidth:
+        def lattice_bytes(n):
+            return pathwidth_live_sets(n) << n >> 3
+        assert lattice_bytes(ceiling) <= SUBSET_TABLE_BUDGET < lattice_bytes(ceiling + 1)
+    else:
+        assert 1 << ceiling <= SUBSET_TABLE_BUDGET < 1 << (ceiling + 1)
+
+
+def test_pathwidth_refused_above_its_ceiling_before_any_lattice_set(monkeypatch):
+    monkeypatch.setattr(solvers_mod, "members", lambda n: pytest.fail("lattice sets built"))
+    with pytest.raises(SizeLimitExceeded, match=f"n = {PW_TABLE_MAX_N + 1} > {PW_TABLE_MAX_N}"):
+        pathwidth(path(PW_TABLE_MAX_N + 1), cap=100)
+
+
+def test_pathwidth_memory_within_its_live_sets():
+    # A dense graph has a greedy bound near n, so its pass holds nearly
+    # every boundary set and level; it peaks within the live-set count that
+    # the ceiling PW_TABLE_MAX_N is derived from.
+    n = 18
+    g = random_graph(n, 0.9, 1)
+    tracemalloc.start()
+    try:
+        assert pathwidth(g)[0] == 15
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= pathwidth_live_sets(n) << n >> 3
 
 
 # name in the message, solver, default cap, subset-table ceiling (None: no table)
