@@ -16,7 +16,7 @@ enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import islice
 from typing import Iterable
 
 from .errors import (
@@ -135,18 +135,6 @@ def check_separator(g: Graph, x: Iterable[int]) -> SeparatorCertificate:
 # ---------------------------------------------------------------------------
 # Subset enumeration: size-ascending, then ascending bitmask value.  All
 # witnesses below are "first hit" under this documented order.
-
-
-def _subsets(universe: int, size: int):
-    """Subsets of `universe` with `size` members, in ascending mask order.
-
-    A subset ascends exactly when its complement in `universe` descends,
-    and `combinations` over the bits taken highest first deals the
-    complements in descending order.
-    """
-    high_first = [1 << v for v in reversed(bits_of(universe))]
-    for rest in combinations(high_first, len(high_first) - size):
-        yield universe ^ sum(rest)
 
 
 def min_balanced_separator_mask(g: Graph, universe: int, strict: bool) -> tuple[int, int]:
@@ -297,9 +285,11 @@ def separator_number_with_witness(
     subgraph Q is the first maximizer in the documented enumeration order
     (decreasing |Q|, then ascending bitmask): the lowest set of the
     largest size outside D_{s-1}, or V when s = 0.  X is the
-    minimum-separator witness inside it: the first set of size s whose
-    survivors are balanced.  X is re-checked by a walk over the
-    survivors that reads no lattice set.
+    minimum-separator witness inside it: the first set of size s, in
+    ascending mask order, whose survivors are balanced.  For X within Q,
+    X ascends as its survivor set Q - X descends, so Q - X is the highest
+    balanced set of |Q| - s vertices within Q.  X is re-checked by a walk
+    over the survivors that reads no lattice set.
     """
     check_size("separator_number", g.n, cap, SEPARATOR_TABLE_MAX_N)
     p = members(g.n)
@@ -316,9 +306,13 @@ def separator_number_with_witness(
             level = down1(level, p)
         hardest &= level
         best_q = (hardest & -hardest).bit_length() - 1
-    x_mask = next(x for x in _subsets(best_q, best) if balanced >> (best_q ^ x) & 1)
-    if not _balanced(g, best_q ^ x_mask, strict):
-        raise InvariantViolation(f"separator witness {bits_of(x_mask)} does not balance Q")
+    fits = balanced & next(islice(sizes(p), best_q.bit_count() - best, None))
+    for v in bits_of(g.full_mask ^ best_q):
+        fits &= ~p[v]
+    survivors = fits.bit_length() - 1
+    if not fits or not _balanced(g, survivors, strict):
+        raise InvariantViolation(f"no separator of size {best} balances Q = {bits_of(best_q)}")
+    x_mask = best_q ^ survivors
     return best, {"q": list(bits_of(best_q)), "x": list(bits_of(x_mask))}
 
 

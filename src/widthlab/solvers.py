@@ -44,8 +44,9 @@ RANK_TABLE_MAX_N = 28
 
 def pathwidth_live_sets(n: int) -> int:
     """Lattice sets of 2^n bits one pathwidth pass holds at once: P_v, the
-    G_k not yet used with the levels made so far (n + 1, as ub < n), and 15
-    more (tracemalloc peaks at about 2n + 8 for n = 16 to 20)."""
+    G_k not yet used with the levels made so far (n + 1), and 15 more
+    (tracemalloc peaks at about 2n + 11 for n = 16 to 20, on complete
+    graphs and stars)."""
     return 2 * n + 16
 
 
@@ -400,60 +401,31 @@ def eliminate_and_measure(g: Graph, order: tuple[int, ...]) -> int:
 # Pathwidth (vertex-separation subset DP)
 
 
-def _boundary(g: Graph, s_mask: int) -> int:
-    """Vertices of S with a neighbour outside S: |S & N(V - S)|."""
-    w, lo, hi = neighbourhood_tables(g)
-    out = g.full_mask ^ s_mask
-    return (s_mask & (lo[out & (1 << w) - 1] | hi[out >> w])).bit_count()
-
-
-def _min_boundary_layout(g: Graph, fewest_new: bool = False) -> tuple[int, ...]:
-    """Greedy layout: next the vertex that leaves the smallest boundary; ties
-    go to the smallest id, or with `fewest_new` first to the vertex with the
-    fewest new outside neighbours (neighbours not in the prefix)."""
-    adj, full = g.adj_bits, g.full_mask
-    prefix = 0
-    order = []
-    while prefix != full:
-        best = None
-        rest = full ^ prefix
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            key = _boundary(g, prefix | low)
-            if fewest_new:
-                key = key * (g.n + 1) + (adj[low.bit_length() - 1] & ~prefix).bit_count()
-            if best is None or key < best:
-                best, pick = key, low
-        prefix |= pick
-        order.append(pick.bit_length() - 1)
-    return tuple(order)
-
-
-def _pathwidth_levels(g: Graph, ub: int) -> list[bytes]:
-    """L_0, ..., L_ub with L_t = {S : PW(S) <= t}, each as the little-endian
-    bytes of a lattice set, so a membership read is O(1).  I_u = P_u &
-    ~(AND of P_w over the neighbours w of u) holds the sets with u on their
-    boundary; counted up over u they give G_k, the sets with at least k,
-    and B_t = {S : boundary of S <= t} is the complement of G_{t+1}.  L_t,
-    the sets reached from the empty set by one-vertex steps through B_t,
-    is grown from L_{t-1}."""
+def _pathwidth_levels(g: Graph):
+    """L_0, L_1, ..., L_n in order, with L_t = {S : PW(S) <= t}, each as the
+    little-endian bytes of a lattice set, so a membership read is O(1).
+    I_u = P_u & ~(AND of P_w over the neighbours w of u) holds the sets
+    with u on their boundary; counted up over u they give G_k, the sets
+    with at least k, for every k (G_k is 0 above the largest boundary),
+    and B_t = {S : boundary of S <= t} is the complement of G_{t+1}.
+    L_t, the sets reached from the empty set by one-vertex steps through
+    B_t, is grown from L_{t-1}, and a caller that stops iterating builds
+    no higher level."""
     p = members(g.n)
     everything = (1 << (1 << g.n)) - 1
-    at_least = [everything] + [0] * (ub + 1)
+    at_least = [everything] + [0] * (g.n + 1)
     for u, p_u in enumerate(p):
         inside = everything
         for w in bits_of(g.adj_bits[u]):
             inside &= p[w]
         i_u = p_u & ~inside
-        for k in range(min(u + 1, ub + 1), 0, -1):
+        for k in range(u + 1, 0, -1):
             at_least[k] |= at_least[k - 1] & i_u
-    levels, level = [], 1
-    for t in range(ub + 1):
+    level = 1
+    for t in range(g.n + 1):
         within, at_least[t + 1] = everything ^ at_least[t + 1], None
         level = reach(level, p, within)
-        levels.append(level.to_bytes(max(1, 1 << g.n >> 3), "little"))
-    return levels
+        yield level.to_bytes(max(1, 1 << g.n >> 3), "little")
 
 
 def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
@@ -463,14 +435,14 @@ def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
     max(boundary of S, min over v in S of PW(S - v)), and pathwidth is
     PW(V).  PW(S) is the least t with S in L_t of `_pathwidth_levels`
     (layouts as lattice paths: Bodlaender, Fomin, Koster, Kratsch and
-    Thilikos 2012), up to ub, the better greedy layout of
-    `_min_boundary_layout` replayed by `separation_profile`.  The witness steps back from V to S - v for the
-    smallest-id v with S - v in L_{PW(S)}, which is exactly the rule
-    max(b(S), PW(S - v)) = PW(S) of the unpruned table, b the boundary:
-    the max equal to PW(S) gives PW(S - v) <= PW(S); conversely, if
-    PW(S - v) <= PW(S), then b(S) = PW(S) or PW(S) = min over u of
-    PW(S - u) <= PW(S - v), and the max is PW(S) either way.  Along the
-    walk PW(S) <= PW(V) <= ub, so the level is there.  The layout is
+    Thilikos 2012); the levels are taken until the first that holds V,
+    so pathwidth is their count minus one.  The witness steps back from
+    V to S - v for the smallest-id v with S - v in L_{PW(S)}, which is
+    exactly the rule max(b(S), PW(S - v)) = PW(S) of the unpruned table,
+    b the boundary: the max equal to PW(S) gives PW(S - v) <= PW(S);
+    conversely, if PW(S - v) <= PW(S), then b(S) = PW(S) or PW(S) = min
+    over u of PW(S - u) <= PW(S - v), and the max is PW(S) either way.
+    Along the walk PW(S) <= PW(V), so the level is there.  The layout is
     re-validated by its separation profile.
     """
     n = g.n
@@ -478,8 +450,11 @@ def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
     if n == 0:
         return 0, ()
     full = g.full_mask
-    levels = _pathwidth_levels(g, min(separation_profile(g, _min_boundary_layout(g, fewest_new))
-                                      for fewest_new in (False, True)))
+    levels = []
+    for level in _pathwidth_levels(g):
+        levels.append(level)
+        if level[full >> 3] >> (full & 7) & 1:
+            break
 
     def level_of(s_mask: int) -> int:
         t = 0
@@ -491,7 +466,7 @@ def pathwidth(g: Graph, cap: int = PW_CAP) -> tuple[int, tuple[int, ...]]:
         rest = s_mask ^ low
         return levels[level_of(s_mask)][rest >> 3] >> (rest & 7) & 1
 
-    value = level_of(full)
+    value = len(levels) - 1
     order = _walk_back(full, attains)
     if separation_profile(g, order) != value:
         raise InvariantViolation("pathwidth witness does not replay to the DP value")

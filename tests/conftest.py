@@ -225,25 +225,6 @@ def _oracle_boundary(adj, s_mask):
     return sum(1 for u in range(len(adj)) if s_mask >> u & 1 and adj[u] & ~s_mask)
 
 
-def oracle_fewest_new_layout(g: Graph) -> tuple[int, ...]:
-    """Greedy layout: next the vertex that leaves the smallest boundary,
-    then the one with the fewest neighbours outside the prefix, then the
-    smallest id."""
-    prefix, order = 0, []
-    for _ in range(g.n):
-        v = min(
-            (u for u in range(g.n) if not prefix >> u & 1),
-            key=lambda u: (
-                _oracle_boundary(g.adj_bits, prefix | 1 << u),
-                sum(1 for x in range(g.n) if g.adj_bits[u] >> x & 1 and not prefix >> x & 1),
-                u,
-            ),
-        )
-        prefix |= 1 << v
-        order.append(v)
-    return tuple(order)
-
-
 def oracle_pathwidth_table(g: Graph) -> list[int]:
     """Unpruned vertex-separation DP: PW(S) for all 2^n subsets S.
 

@@ -8,6 +8,7 @@ of the dict-memo recursion with a full min scan, `oracle_cycle_rank_dp`.
 """
 
 import hashlib
+from itertools import islice
 
 import pytest
 
@@ -29,21 +30,17 @@ from widthlab.corpus import random_corpus
 from widthlab.graph import bits_of
 from widthlab.lattice import reach
 from widthlab.solvers import (
-    _boundary,
-    _min_boundary_layout,
     _min_fill_order,
     _pathwidth_levels,
     _treewidth_table,
     _walk_back,
     eliminate_and_measure,
-    separation_profile,
 )
 
 from .conftest import (
     _oracle_boundary,
     level_values,
     oracle_cycle_rank_dp,
-    oracle_fewest_new_layout,
     oracle_pathwidth_dp,
     oracle_pathwidth_table,
     oracle_treewidth_dp,
@@ -188,13 +185,9 @@ def test_pinned_pathwidth_layouts(name):
     assert pathwidth(g) == pw
 
 
-def _greedy_pathwidth_bound(g):
-    return min(separation_profile(g, _min_boundary_layout(g, fewest_new))
-               for fewest_new in (False, True))
-
-
 # sha256 of min(PW(S), ub + 1) for every S, one byte each in ascending order
-# of S, at the greedy layout bound ub, for the graphs of TW_TABLE_DIGESTS.
+# of S, from the first ub + 1 levels (ub >= pw), for the graphs of
+# TW_TABLE_DIGESTS.
 PW_TABLE_DIGESTS = {
     "random(16,0.3,7)": (random_graph(16, 0.3, 7), 5,
                          "64e6a2abb787dedb15cdbb6a58baaef852797e47570a7c5335a08cab1632e645"),
@@ -214,8 +207,7 @@ PW_TABLE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(PW_TABLE_DIGESTS))
 def test_pinned_pathwidth_table_bytes(name):
     g, ub, digest = PW_TABLE_DIGESTS[name]
-    assert _greedy_pathwidth_bound(g) == ub
-    table = bytes(level_values(_pathwidth_levels(g, ub), g.n))
+    table = bytes(level_values(list(islice(_pathwidth_levels(g), ub + 1)), g.n))
     assert hashlib.sha256(table).hexdigest() == digest
 
 
@@ -236,7 +228,7 @@ def test_pruned_tables_are_exact_up_to_the_bound(i):
     full_tw, full_pw = oracle_treewidth_table(g), oracle_pathwidth_table(g)
     for ub in range(g.n + 1):
         assert list(_treewidth_table(g, ub)) == [min(v, ub + 1) for v in full_tw]
-        levels = _pathwidth_levels(g, ub)
+        levels = list(islice(_pathwidth_levels(g), ub + 1))
         assert len(levels) == ub + 1
         assert {len(level) for level in levels} == {max(1, (1 << g.n) >> 3)}
         sets = [int.from_bytes(level, "little") for level in levels]
@@ -247,43 +239,47 @@ def test_pruned_tables_are_exact_up_to_the_bound(i):
 
 @pytest.mark.parametrize("i", range(len(TABLE_GRAPHS)))
 def test_level_walk_agrees_with_the_boundary_rule(i, monkeypatch):
-    # Level t is swept inside B_t = {S : boundary(S) <= t}, for every
-    # bound.  And the walk back of `pathwidth`, run on the levels of any
-    # bound ub >= pw, steps from S to S - v exactly when
-    # max(boundary(S), PW(S - v)) == PW(S), the rule of the unpruned DP, at
-    # every S of value at most ub and every v in S.
+    # Level t is swept inside B_t = {S : boundary(S) <= t}, for every t up
+    # to n.  And the walk back of `pathwidth` steps from S to S - v exactly
+    # when max(boundary(S), PW(S - v)) == PW(S), the rule of the unpruned
+    # DP, at every S of value at most pw and every v in S.
     g = TABLE_GRAPHS[i]
     pw = oracle_pathwidth_table(g)
     boundary = [_oracle_boundary(g.adj_bits, s_mask) for s_mask in range(1 << g.n)]
     bounds = []
     monkeypatch.setattr(solvers_mod, "reach",
                         lambda x, p, within: bounds.append(within) or reach(x, p, within))
-    for ub in range(g.n + 1):
-        bounds.clear()
-        _pathwidth_levels(g, ub)
-        assert bounds == [sum(1 << s_mask for s_mask, b in enumerate(boundary) if b <= t)
-                          for t in range(ub + 1)]
+    list(_pathwidth_levels(g))
+    assert bounds == [sum(1 << s_mask for s_mask, b in enumerate(boundary) if b <= t)
+                      for t in range(g.n + 1)]
     walks = []
     monkeypatch.setattr(solvers_mod, "_walk_back",
                         lambda full, attains: walks.append(attains) or _walk_back(full, attains))
-    for ub in range(pw[-1], g.n + 1):
-        monkeypatch.setattr(solvers_mod, "_pathwidth_levels", lambda graph, _: _pathwidth_levels(graph, ub))
-        assert pathwidth(g) == oracle_pathwidth_dp(g)
-        if g.n == 0:
-            continue
-        attains = walks.pop()
-        for s_mask in range(1 << g.n):
-            if pw[s_mask] <= ub:
-                for v in bits_of(s_mask):
-                    rule = max(boundary[s_mask], pw[s_mask ^ 1 << v]) == pw[s_mask]
-                    assert bool(attains(s_mask, 1 << v)) == rule
-
-
-@pytest.mark.parametrize("i", range(len(TABLE_GRAPHS)))
-def test_boundary_matches_oracle_on_every_subset(i):
-    g = TABLE_GRAPHS[i]
+    assert pathwidth(g) == oracle_pathwidth_dp(g)
+    if g.n == 0:
+        return
+    attains = walks.pop()
     for s_mask in range(1 << g.n):
-        assert _boundary(g, s_mask) == _oracle_boundary(g.adj_bits, s_mask)
+        if pw[s_mask] <= pw[-1]:
+            for v in bits_of(s_mask):
+                rule = max(boundary[s_mask], pw[s_mask ^ 1 << v]) == pw[s_mask]
+                assert bool(attains(s_mask, 1 << v)) == rule
+
+
+LEVEL_COUNT_GRAPHS = [(g, oracle_pathwidth_table(g)[-1]) for g in TABLE_GRAPHS]
+LEVEL_COUNT_GRAPHS += [(g, layout[0]) for g, layout in PINNED_PW.values()]
+
+
+@pytest.mark.parametrize("i", range(len(LEVEL_COUNT_GRAPHS)))
+def test_pathwidth_builds_exactly_the_levels_up_to_pw(i, monkeypatch):
+    # One reach per level: L_0, ..., L_pw, and none above the first that
+    # holds V.  The empty graph returns before any level.
+    g, pw = LEVEL_COUNT_GRAPHS[i]
+    calls = []
+    monkeypatch.setattr(solvers_mod, "reach",
+                        lambda x, p, within: calls.append(within) or reach(x, p, within))
+    assert pathwidth(g)[0] == pw
+    assert len(calls) == (pw + 1 if g.n else 0)
 
 
 @pytest.mark.parametrize("p", DENSITY_LADDER)
@@ -291,38 +287,6 @@ def test_greedy_bounds_are_at_least_exact(p):
     for n in range(1, 13):
         g = random_graph(n, p, 2600 + n)
         assert eliminate_and_measure(g, _min_fill_order(g)) >= treewidth(g)[0]
-        pw = pathwidth(g)[0]
-        assert separation_profile(g, _min_boundary_layout(g)) >= pw
-        assert separation_profile(g, _min_boundary_layout(g, True)) >= pw
-
-
-@pytest.mark.parametrize("p", DENSITY_LADDER)
-def test_fewest_new_layout_matches_oracle(p):
-    for n in range(0, 13):
-        g = random_graph(n, p, 2650 + n)
-        assert _min_boundary_layout(g, True) == oracle_fewest_new_layout(g)
-
-
-def test_fewest_new_layout_breaks_boundary_ties():
-    # Every first vertex leaves boundary 1; leaf 1 has one outside
-    # neighbour against the centre's three.
-    assert _min_boundary_layout(star(3), True) == (1, 0, 2, 3)
-    # Bowtie of triangles 0-2-3 and 1-2-4.  After 0 every vertex leaves
-    # boundary 2, and 3 adds the fewest outside neighbours ({2}), so the
-    # layout closes one triangle before opening the other: profile 2 = pw,
-    # against 3 for the smallest-id tie-break.
-    bowtie = Graph(5, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4)])
-    assert _min_boundary_layout(bowtie, True) == (0, 3, 2, 1, 4)
-    assert separation_profile(bowtie, _min_boundary_layout(bowtie, True)) == 2
-    assert separation_profile(bowtie, _min_boundary_layout(bowtie)) == 3
-
-
-def test_fewest_new_layout_bounds_the_benchmark_graph_tightly():
-    # The smallest-id tie-break gives 8 here; pw is 5.
-    g = random_graph(18, 0.3, 7)
-    assert separation_profile(g, _min_boundary_layout(g)) == 8
-    assert separation_profile(g, _min_boundary_layout(g, True)) == 5
-    assert pathwidth(g)[0] == 5
 
 
 def test_greedy_orders_break_ties_by_smallest_id():
@@ -331,11 +295,6 @@ def test_greedy_orders_break_ties_by_smallest_id():
     # Leaves of a star have fill 0 and degree 1, so they go first until the
     # centre ties with the last leaf and wins by its smaller id.
     assert _min_fill_order(star(4)) == (1, 2, 3, 0, 4)
-    assert _min_boundary_layout(path(5)) == (0, 1, 2, 3, 4)
-    # The centre and a leaf both leave a boundary of 1; the centre has id 0.
-    assert _min_boundary_layout(star(4)) == (0, 1, 2, 3, 4)
-    # After 0, 1, 2, adding 4 leaves boundary {4} and adding 3 leaves {2, 3}.
-    assert _min_boundary_layout(Graph(5, [(3, 4), (2, 4)])) == (0, 1, 2, 4, 3)
 
 
 # --- cycle rank ------------------------------------------------------------------

@@ -36,7 +36,6 @@ from widthlab.separators import (
     SUBSET_TABLE_BUDGET,
     _balanced,
     _balanced_sets,
-    _subsets,
     min_balanced_separator_mask,
     separator_live_sets,
 )
@@ -319,7 +318,8 @@ def _first_hardest_by_scan(g, f):
     ascending mask, by a scan over every subset."""
     best, best_q = -1, 0
     for size in range(g.n, -1, -1):
-        for q_mask in _subsets(g.full_mask, size):
+        for q in _mask_order(range(g.n), size):
+            q_mask = sum(1 << v for v in q)
             if size - f[q_mask] > best:
                 best, best_q = size - f[q_mask], q_mask
     return best_q
@@ -338,18 +338,6 @@ def test_fill_records_the_first_hardest_subgraph(i):
 def test_hardest_subgraph_when_every_set_balances_or_only_singletons_fail():
     assert separator_number_with_witness(Graph(3), False) == (0, {"q": [0, 1, 2], "x": []})
     assert separator_number_with_witness(Graph(3), True) == (1, {"q": [0], "x": [0]})
-
-
-def test_subsets_ascend_by_mask():
-    rng = random.Random(2950)
-    universes = [0, (1 << 14) - 1]
-    universes += [rng.getrandbits(14) & rng.getrandbits(14) for _ in range(20)]
-    for universe in universes:
-        members = bits_of(universe)
-        for size in range(len(members) + 1):
-            assert list(_subsets(universe, size)) == [
-                sum(1 << v for v in xs) for xs in _mask_order(members, size)
-            ]
 
 
 # --- witnesses pinned to the documented first-hit order ---------------------------

@@ -310,18 +310,18 @@ def test_pathwidth_refused_above_its_ceiling_before_any_lattice_set(monkeypatch)
 
 
 def test_pathwidth_memory_within_its_live_sets():
-    # A dense graph has a greedy bound near n, so its pass holds nearly
-    # every boundary set and level; it peaks within the live-set count that
-    # the ceiling PW_TABLE_MAX_N is derived from.
-    n = 18
-    g = random_graph(n, 0.9, 1)
-    tracemalloc.start()
-    try:
-        assert pathwidth(g)[0] == 15
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= pathwidth_live_sets(n) << n >> 3
+    # A dense graph has pw near n, so its pass holds nearly every level; a
+    # star has pw 1 and boundaries up to n - 1, so its G_k above level 2
+    # stay alive while the levels grow.  Both peak within the live-set
+    # count that the ceiling PW_TABLE_MAX_N is derived from.
+    for g, pw in [(random_graph(18, 0.9, 1), 15), (star(17), 1)]:
+        tracemalloc.start()
+        try:
+            assert pathwidth(g)[0] == pw
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= pathwidth_live_sets(g.n) << g.n >> 3
 
 
 # name in the message, solver, default cap, subset-table ceiling (None: no table)
